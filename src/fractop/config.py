@@ -40,7 +40,7 @@ _KNOWN_KEYS = {
     "loading": {"load_box", "load_dofs", "displacement_per_step", "steps",
                 "tau_f", "body_force"},
     "solver": {"newton_tol_abs", "newton_tol_rel", "newton_max_iter",
-               "stagger_tol", "stagger_max_iter", "linear_solver"},
+               "stagger_tol", "stagger_max_iter"},
     "output": {"directory", "snapshot_cadence"},
 }
 
@@ -221,11 +221,7 @@ def load_config(path) -> RunConfig:
         newton_max_iter=int(_getf(s, "newton_max_iter", 25)),
         stagger_tol=_getf(s, "stagger_tol", 1e-6),
         stagger_max_iter=int(_getf(s, "stagger_max_iter", 200)),
-        tau_f=tau_f,
-        linear_solver=(s.get("linear_solver", "direct")
-                       if hasattr(s, "get") else "direct"))
-    if solver.linear_solver not in ("direct", "cg"):
-        raise ConfigError("linear_solver must be 'direct' or 'cg'")
+        tau_f=tau_f)
 
     o = parser["output"] if "output" in parser else {}
     output_dir = o.get("directory", "out") if hasattr(o, "get") else "out"

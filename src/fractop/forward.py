@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg, spsolve
+from scipy.sparse.linalg import spsolve
 
 from . import material as mat
 from . import phasefield as pf
@@ -43,7 +43,6 @@ class SolverSettings:
     stagger_tol_abs: float = 1e-11
     stagger_max_iter: int = 200
     tau_f: float = 1e-4
-    linear_solver: str = "direct"
 
 
 @dataclass
@@ -67,6 +66,7 @@ class StepStats:
     newton_corrections: int = 0
     d_overshoot: float = 0.0
     residual: float = 0.0
+    stalled: bool = False   # accepted at the fixed point, not the tolerance
 
 
 @dataclass
@@ -235,11 +235,14 @@ def assemble_ru(problem: Problem, fields: FieldSet, result: mat.StressResult,
     Returns the full residual vector (prescribed rows carry the reaction
     forces) and K_uu in CSR form.
     """
-    mesh = problem.mesh
-    rows = _voigt_rows(mesh.dimension)
-    sig = result.sigma[..., rows]
-    dmat = result.tangent[..., rows, :][..., :, rows]
+    return (_ru_residual(problem, fields, result, phi_qp, regularized),
+            _kuu(problem, result))
 
+
+def _ru_residual(problem: Problem, fields: FieldSet, result: mat.StressResult,
+                 phi_qp=None, regularized: bool = False):
+    mesh = problem.mesh
+    sig = result.sigma[..., _voigt_rows(mesh.dimension)]
     edofs = _scatter_udofs(mesh)
     fe = np.einsum("eqsi,eqs,eq->ei", mesh.b_u, sig, mesh.w_detj)
     residual = np.zeros(mesh.n_udof)
@@ -253,15 +256,21 @@ def assemble_ru(problem: Problem, fields: FieldSet, result: mat.StressResult,
         w = mesh.w_detj * fphi
         fb = np.einsum("eq,qa,c->eac", w, mesh.shape_n, problem.body_force)
         np.add.at(residual, edofs, -fb.reshape(mesh.n_elems, -1))
+    return residual
 
+
+def _kuu(problem: Problem, result: mat.StressResult):
+    mesh = problem.mesh
+    rows = _voigt_rows(mesh.dimension)
+    dmat = result.tangent[..., rows, :][..., :, rows]
+    edofs = _scatter_udofs(mesh)
     ke = np.einsum("eqsi,eqst,eqtj,eq->eij", mesh.b_u, dmat, mesh.b_u,
                    mesh.w_detj, optimize=True)
     ndofe = edofs.shape[1]
     rows_i = np.repeat(edofs, ndofe, axis=1).ravel()
     cols_j = np.tile(edofs, (1, ndofe)).ravel()
-    k_uu = sp.coo_matrix((ke.ravel(), (rows_i, cols_j)),
+    return sp.coo_matrix((ke.ravel(), (rows_i, cols_j)),
                          shape=(mesh.n_udof, mesh.n_udof)).tocsr()
-    return residual, k_uu
 
 
 def assemble_rd(problem: Problem, d, d_prev, history_qp, phi_qp,
@@ -271,6 +280,13 @@ def assemble_rd(problem: Problem, d, d_prev, history_qp, phi_qp,
     Residual form: [(1-kappa)(d-1)H + d + (eta_f/tau_f)(d - d_prev)] N
     + l_f^2 f(phi) grad d . grad N.
     """
+    return (_rd_residual(problem, d, d_prev, history_qp, phi_qp, settings,
+                         regularized),
+            _kdd(problem, history_qp, phi_qp, settings, regularized))
+
+
+def _rd_residual(problem: Problem, d, d_prev, history_qp, phi_qp,
+                 settings: SolverSettings, regularized: bool = False):
     mesh = problem.mesh
     p = problem.params
     kappa = p.kappa
@@ -288,6 +304,17 @@ def assemble_rd(problem: Problem, d, d_prev, history_qp, phi_qp,
     contrib += np.einsum("eq,eqad,eqd->ea", gradw, mesh.dn_dx, grad_d)
     residual = np.zeros(mesh.n_nodes)
     np.add.at(residual, mesh.conn, contrib)
+    return residual
+
+
+def _kdd(problem: Problem, history_qp, phi_qp, settings: SolverSettings,
+         regularized: bool = False):
+    mesh = problem.mesh
+    p = problem.params
+    kappa = p.kappa
+    visc = p.eta_f / settings.tau_f
+    fphi = mat.transition_f(phi_qp, kappa, regularized, problem.l_delta)
+    gradw = (mesh.w_detj * p.l_f ** 2 * fphi)
 
     react = (1.0 - kappa) * history_qp + 1.0 + visc
     me = np.einsum("eq,eq,qa,qb->eab", mesh.w_detj, react,
@@ -296,9 +323,8 @@ def assemble_rd(problem: Problem, d, d_prev, history_qp, phi_qp,
     nen = mesh.nodes_per_elem
     rows_i = np.repeat(mesh.conn, nen, axis=1).ravel()
     cols_j = np.tile(mesh.conn, (1, nen)).ravel()
-    k_dd = sp.coo_matrix((me.ravel(), (rows_i, cols_j)),
+    return sp.coo_matrix((me.ravel(), (rows_i, cols_j)),
                          shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
-    return residual, k_dd
 
 
 def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
@@ -356,9 +382,8 @@ def assemble_tangent_blocks(problem: Problem, fields: FieldSet,
                                               regularized)
     history_qp = tentative_history(problem, result, phi_qp, qstate_prev,
                                    regularized)
-    _, k_uu = assemble_ru(problem, fields, result, phi_qp, regularized)
-    _, k_dd = assemble_rd(problem, fields.d, d_prev, history_qp, phi_qp,
-                          settings, regularized)
+    k_uu = _kuu(problem, result)
+    k_dd = _kdd(problem, history_qp, phi_qp, settings, regularized)
     k_ud, k_du = assemble_coupling_blocks(problem, result, qstate_prev,
                                           phi_qp, d_qp, regularized)
     return TangentBlocks(k_uu=k_uu, k_ud=k_ud, k_du=k_du, k_dd=k_dd)
@@ -372,15 +397,7 @@ def linear_solve(matrix: sp.csr_matrix, rhs: np.ndarray,
                  settings: SolverSettings) -> np.ndarray:
     if rhs.size == 0:
         return np.zeros(0)
-    if settings.linear_solver == "direct":
-        sol = spsolve(matrix.tocsc(), rhs)
-    elif settings.linear_solver == "cg":
-        sol, info = cg(matrix, rhs, rtol=1e-12, atol=0.0,
-                       M=sp.diags(1.0 / matrix.diagonal()))
-        if info != 0:
-            raise SolverError(f"cg failed to converge (info={info})")
-    else:
-        raise ValueError(f"unknown linear solver {settings.linear_solver!r}")
+    sol = spsolve(matrix.tocsc(), rhs)
     if not np.all(np.isfinite(sol)):
         raise SolverError("linear solve produced non-finite values "
                           "(singular system after elimination?)")
@@ -407,17 +424,22 @@ def newton_displacement(problem: Problem, fields: FieldSet,
 
     ``fields.u`` must already carry the prescribed values; only free DOFs
     are updated.  Returns the constitutive result, the converged full
-    residual and iteration diagnostics.
+    residual and iteration diagnostics.  The returned result is the sweep
+    at the returned ``fields.u`` with ``fields.d``, ``fields.phi`` and
+    ``qstate_prev``, so a caller at those same fields may reuse it.
+
+    Each iteration builds the residual first and K_uu (with the consistent
+    tangent) only when a correction follows, so the converged sweep never
+    evaluates the tangent.
     """
     free = problem.free_dofs
     u = fields.u
     ref = None
     corrections = 0
     for it in range(settings.newton_max_iter + 1):
-        result, d_qp, phi_qp = constitutive_sweep(
+        result, _, phi_qp = constitutive_sweep(
             problem, u, fields.d, fields.phi, qstate_prev, regularized)
-        residual, k_uu = assemble_ru(problem, fields, result, phi_qp,
-                                     regularized)
+        residual = _ru_residual(problem, fields, result, phi_qp, regularized)
         rnorm = np.linalg.norm(residual[free]) if free.size else 0.0
         if ref is None:
             ref = max(rnorm, settings.newton_tol_abs)
@@ -427,6 +449,7 @@ def newton_displacement(problem: Problem, fields: FieldSet,
             break
         if free.size == 0:
             break
+        k_uu = _kuu(problem, result)
         du = linear_solve(k_uu[free][:, free], -residual[free], settings)
         u[free] += du
         corrections += 1
@@ -440,6 +463,13 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
     """Alternate crack-field and displacement solves until the combined
     residual drops below the staggered tolerance; commits the quadrature
     state and history on exit.
+
+    One constitutive sweep opens the step.  Every later pass reuses the
+    previous pass's final Newton sweep and the tentative history built from
+    it: that sweep was taken at the current u, d and phi with the same
+    ``qstate_prev``, which is exactly the sweep the pass would otherwise
+    repeat, so the reuse changes no value.  A pass accepted through the
+    fixed-point exit instead of the tolerance sets ``stats.stalled``.
     """
     mesh = problem.mesh
     fields = fields_prev.copy()
@@ -449,12 +479,12 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
     ref = None
     u_last = None
     d_last = None
+    # phase-field part of the first pass: history from the start iterate
+    result, _, phi_qp = constitutive_sweep(
+        problem, fields.u, fields.d, fields.phi, qstate_prev, regularized)
+    history_qp = tentative_history(problem, result, phi_qp, qstate_prev,
+                                   regularized)
     for k in range(1, settings.stagger_max_iter + 1):
-        # phase-field part: history from the current displacement iterate
-        result, d_qp, phi_qp = constitutive_sweep(
-            problem, fields.u, fields.d, fields.phi, qstate_prev, regularized)
-        history_qp = tentative_history(problem, result, phi_qp, qstate_prev,
-                                       regularized)
         fields.d, overshoot = solve_crack_field(
             problem, fields_prev.d, history_qp, phi_qp, settings, regularized)
         stats.d_overshoot = max(stats.d_overshoot, overshoot)
@@ -469,12 +499,12 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
         stats.stagger_iterations = k
 
         # combined residual at the end of the pass; bound-active crack DOFs
-        # contribute only their feasible-direction (projected) residual
+        # contribute only their feasible-direction (projected) residual.
+        # The history also drives the next pass's crack solve.
         history_qp = tentative_history(problem, result, phi_qp, qstate_prev,
                                        regularized)
-        rd, _ = assemble_rd(problem, fields.d, fields_prev.d, history_qp,
-                            phi_qp, settings, regularized)
-        rd = rd.copy()
+        rd = _rd_residual(problem, fields.d, fields_prev.d, history_qp,
+                          phi_qp, settings, regularized)
         rd[(fields.d <= 0.0) & (rd > 0.0)] = 0.0
         rd[(fields.d >= 1.0) & (rd < 0.0)] = 0.0
         res = (np.linalg.norm(residual[problem.free_dofs])
@@ -488,9 +518,10 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
             # the alternation has hit the fixed point the inner solves can
             # deliver; further passes cannot reduce the residual
             u_scale = max(np.linalg.norm(fields.u), 1.0)
-            stalled = (np.linalg.norm(fields.u - u_last) <= 1e-14 * u_scale
-                       and np.linalg.norm(fields.d - d_last) <= 1e-14)
-            converged = stalled
+            stats.stalled = bool(
+                np.linalg.norm(fields.u - u_last) <= 1e-14 * u_scale
+                and np.linalg.norm(fields.d - d_last) <= 1e-14)
+            converged = stats.stalled
         if converged:
             qstate_new = result.new_state
             qstate_new.history = history_qp

@@ -12,7 +12,8 @@ which keeps the out-of-plane plastic strain exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -90,13 +91,25 @@ class StressResult:
     """Outcome of one constitutive update."""
 
     sigma: np.ndarray        # (..., 6) degraded stress
-    tangent: np.ndarray      # (..., 6, 6) consistent tangent, engineering Voigt
     psi_plus: np.ndarray     # (...) effective damageable energy
     psi_minus: np.ndarray    # (...) effective undamageable energy
     new_state: QuadState
     sigma_eff: np.ndarray = None   # (..., 6) g(d)*sigma+~ + sigma-~ (no f)
     sigma_plus: np.ndarray = None  # (..., 6) effective damageable stress
     psi_p: np.ndarray = None       # (...) effective plastic energy 0.5*h*alpha^2
+    tangent_args: tuple = field(default=None, repr=False)
+
+    @cached_property
+    def tangent(self) -> np.ndarray:
+        """(..., 6, 6) consistent tangent, engineering Voigt form.
+
+        Built on first access, because most updates (Newton residual checks,
+        history sweeps) never read it.  ``tangent_args`` holds the arrays the
+        update itself computed, so this is the same ``_tangent`` call on the
+        same values that an eager evaluation would make, and the result is
+        identical to the last bit.
+        """
+        return _tangent(*self.tangent_args)
 
 
 def trace(t6: np.ndarray) -> np.ndarray:
@@ -218,13 +231,13 @@ def return_map(eps_total: np.ndarray, state_n: QuadState, d, phi,
     psi_plus, psi_minus = energy_split(eps_e, params)
     psi_p = 0.5 * h * alpha ** 2
 
-    tangent = _tangent(params, fphi, gd, hplus, plastic, dlam, eps_e, nhat)
-
     new_state = QuadState(eps_p=eps_p, alpha=alpha,
                           history=state_n.history.copy(), lambda_p=dlam)
-    return StressResult(sigma=sigma, tangent=tangent, psi_plus=psi_plus,
+    return StressResult(sigma=sigma, psi_plus=psi_plus,
                         psi_minus=psi_minus, new_state=new_state,
-                        sigma_eff=sigma_eff, sigma_plus=sig_plus, psi_p=psi_p)
+                        sigma_eff=sigma_eff, sigma_plus=sig_plus, psi_p=psi_p,
+                        tangent_args=(params, fphi, gd, hplus, plastic,
+                                      dlam, eps_e, nhat))
 
 
 def _tangent(params, fphi, gd, hplus, plastic, dlam, eps_e, nhat):

@@ -191,6 +191,44 @@ class TestStaggeredStep:
         assert np.array_equal(f1.d, f2.d)
         assert s1.stagger_iterations == s2.stagger_iterations
 
+    def test_stalled_exit_is_reported(self):
+        # with zero tolerances only the fixed-point exit can accept the step
+        prob = small_problem()
+        strict = fwd.SolverSettings(stagger_tol=0.0, stagger_tol_abs=0.0)
+        for settings, stalled in ((fwd.SolverSettings(), False),
+                                  (strict, True)):
+            _, _, stats = fwd.staggered_step(
+                prob, prob.initial_fields(), prob.initial_state(), 1e-3,
+                settings)
+            assert stats.stalled is stalled
+
+    def test_no_repeated_sweeps_or_discarded_tangents(self, monkeypatch):
+        # each pass reuses the previous pass's last Newton sweep, and the
+        # consistent tangent is built only for a Newton correction
+        prob = make_bend_beam()
+        calls = {"sweep": 0, "tangent": 0, "solve": 0}
+
+        def counted(key, func):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fwd, "constitutive_sweep",
+                            counted("sweep", fwd.constitutive_sweep))
+        monkeypatch.setattr(mat, "_tangent", counted("tangent", mat._tangent))
+        monkeypatch.setattr(fwd, "linear_solve",
+                            counted("solve", fwd.linear_solve))
+        _, _, stats = fwd.staggered_step(
+            prob, prob.initial_fields(), prob.initial_state(), -0.03,
+            fwd.SolverSettings(tau_f=1e-4))
+        assert stats.stagger_iterations > 2
+        assert calls["sweep"] == (1 + stats.stagger_iterations
+                                  + stats.newton_iterations)
+        assert calls["tangent"] == stats.newton_corrections
+        assert calls["solve"] == (stats.stagger_iterations
+                                  + stats.newton_corrections)
+
     def test_warm_start_from_converged_state_needs_no_corrections(self):
         prob = small_problem()
         settings = fwd.SolverSettings()
