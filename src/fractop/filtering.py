@@ -29,11 +29,6 @@ class FilterKernel:
     weights: sp.csr_matrix        # raw weights, self-weight 1 on the diagonal
     row_sums: np.ndarray
 
-    @property
-    def operator(self) -> sp.csr_matrix:
-        inv = sp.diags(1.0 / self.row_sums)
-        return inv @ self.weights
-
 
 def filter_weight(distance, r_min: float):
     """Smooth weight factor exp(-3 (d / r_min)^3)."""

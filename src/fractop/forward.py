@@ -5,15 +5,25 @@ runs that record the trajectory consumed by the adjoint sweep.
 Displacement control only: Dirichlet conditions are handled by row/column
 elimination and reactions are recovered from the eliminated rows of the
 internal force vector.
+
+The two forward systems, K_uu on the free DOFs (Newton) and K_dd (crack
+solve), are symmetric positive definite.  They are assembled straight into
+LAPACK lower band storage and solved by banded Cholesky.  The band is narrow
+because the nodes are ordered along the grid's short axes first; each
+Problem builds that ordering and the scatter into the band once, on first
+use.  The adjoint systems (unsymmetric for Formulation 2) stay sparse and go
+through sparse LU.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import spsolve
 
 from . import material as mat
@@ -156,6 +166,19 @@ class Problem:
         return QuadState.zeros((self.mesh.n_elems,
                                 len(self.mesh.quad_rule.weights)))
 
+    @cached_property
+    def uu_band(self) -> "BandPattern":
+        """Band pattern of K_uu on the free DOFs, built on first use."""
+        dofs = self.mesh.udofs_of(_structured_node_order(self.mesh))
+        return _band_pattern(dofs[np.isin(dofs, self.free_dofs)],
+                             self.mesh.n_udof, _scatter_udofs(self.mesh))
+
+    @cached_property
+    def dd_band(self) -> "BandPattern":
+        """Band pattern of K_dd, built on first use."""
+        return _band_pattern(_structured_node_order(self.mesh),
+                             self.mesh.n_nodes, self.mesh.conn)
+
 
 # ---------------------------------------------------------------------------
 # kinematics and constitutive sweep
@@ -228,6 +251,95 @@ def _voigt_rows(dim: int):
     return [0, 1, 5] if dim == 2 else [0, 1, 2, 3, 4, 5]
 
 
+def _element_pairs(row_idx, col_idx):
+    """Global row ``row_idx[e, a]`` and column ``col_idx[e, b]`` of every
+    entry ``[e, a, b]`` of the flattened element blocks."""
+    rows = np.repeat(row_idx, col_idx.shape[1], axis=1).ravel()
+    cols = np.tile(col_idx, (1, row_idx.shape[1])).ravel()
+    return rows, cols
+
+
+def _element_csr(row_idx, col_idx, blocks, shape) -> sp.csr_matrix:
+    """Sum the element blocks ``blocks[e, a, b]`` into a CSR matrix at rows
+    ``row_idx[e, a]`` and columns ``col_idx[e, b]``."""
+    return sp.coo_matrix((blocks.ravel(), _element_pairs(row_idx, col_idx)),
+                         shape=shape).tocsr()
+
+
+def _structured_node_order(mesh: Mesh) -> np.ndarray:
+    """Nodes sorted by coordinate, the axis with the most elements slowest
+    and the one with the fewest fastest (ties keep the mesh's own order).
+
+    On an ``nx`` x ``ny`` grid with ``ny <= nx`` the node half-bandwidth of
+    a Q1 matrix is then ``ny + 2``, against ``nx + 2`` in the mesh's own
+    x-fastest numbering (Cuthill & McKee 1969)."""
+    axes = np.argsort(mesh.counts, kind="stable")
+    return np.lexsort(mesh.coords[:, axes].T)
+
+
+@dataclass(frozen=True)
+class BandPattern:
+    """Scatter of element matrices into the lower band of an SPD matrix.
+
+    Band row/column ``k`` is global index ``order[k]`` (a free DOF or a
+    node); indices outside ``order`` are eliminated.  ``entries`` picks the
+    lower-triangle entries of the flattened element matrices and ``slots``
+    gives the flat position of each in the C-ordered ``(n, bandwidth + 1)``
+    transpose of LAPACK's lower band storage, so ``assemble`` returns the
+    Fortran-ordered array LAPACK works on, with no transposing copy.
+    """
+
+    order: np.ndarray
+    entries: np.ndarray
+    slots: np.ndarray
+    bandwidth: int
+
+    def assemble(self, blocks: np.ndarray) -> np.ndarray:
+        """Lower band, shape ``(bandwidth + 1, n)``, of the matrix the
+        element ``blocks`` sum to; its entry ``[i - j, j]`` is ``A[i, j]``.
+        Only the lower triangle is read, so the matrix is taken symmetric.
+        Each entry equals, bit for bit, the one ``_element_csr`` sums from
+        the same blocks."""
+        n = self.order.size
+        band = np.bincount(self.slots,
+                           weights=blocks.reshape(-1)[self.entries],
+                           minlength=n * (self.bandwidth + 1))
+        return band.reshape(n, self.bandwidth + 1).T
+
+
+def _csr_summation_order(rows, cols, n) -> np.ndarray:
+    """Positions of the COO entries ``(rows, cols)`` in the order in which
+    ``tocsr`` adds up duplicates: rows filled in input order, then scipy's
+    own per-row sort of the column indices."""
+    by_row = np.argsort(rows, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    unsummed = sp.csr_matrix((by_row.astype(float), cols[by_row], indptr),
+                             shape=(n, n))
+    unsummed.sort_indices()
+    return unsummed.data.astype(np.intp)
+
+
+def _band_pattern(order, n_global, element_idx) -> BandPattern:
+    """Band pattern of the matrix summed from element blocks at global
+    indices ``element_idx[e, a]``, restricted and permuted to ``order``.
+
+    The kept entries are listed in the order ``tocsr`` sums them, so the
+    band repeats the CSR values (and so the rounding) of ``_element_csr``.
+    """
+    rows, cols = _element_pairs(element_idx, element_idx)
+    summation = _csr_summation_order(rows, cols, n_global)
+    position = np.full(n_global, -1)
+    position[order] = np.arange(order.size)
+    row = position[rows[summation]]
+    col = position[cols[summation]]
+    keep = (row >= col) & (col >= 0)
+    offset = row[keep] - col[keep]
+    band_width = int(offset.max(initial=0)) + 1
+    return BandPattern(order=order, entries=summation[keep],
+                       slots=col[keep] * band_width + offset,
+                       bandwidth=band_width - 1)
+
+
 def assemble_ru(problem: Problem, fields: FieldSet, result: mat.StressResult,
                 phi_qp=None, regularized: bool = False):
     """Internal-minus-external force and consistent stiffness for u.
@@ -259,18 +371,21 @@ def _ru_residual(problem: Problem, fields: FieldSet, result: mat.StressResult,
     return residual
 
 
-def _kuu(problem: Problem, result: mat.StressResult):
+def _kuu_blocks(problem: Problem, result: mat.StressResult):
+    """Element stiffness matrices (n_elems, ndofe, ndofe) of the consistent
+    tangent."""
     mesh = problem.mesh
     rows = _voigt_rows(mesh.dimension)
     dmat = result.tangent[..., rows, :][..., :, rows]
+    return np.einsum("eqsi,eqst,eqtj,eq->eij", mesh.b_u, dmat, mesh.b_u,
+                     mesh.w_detj, optimize=True)
+
+
+def _kuu(problem: Problem, result: mat.StressResult):
+    mesh = problem.mesh
     edofs = _scatter_udofs(mesh)
-    ke = np.einsum("eqsi,eqst,eqtj,eq->eij", mesh.b_u, dmat, mesh.b_u,
-                   mesh.w_detj, optimize=True)
-    ndofe = edofs.shape[1]
-    rows_i = np.repeat(edofs, ndofe, axis=1).ravel()
-    cols_j = np.tile(edofs, (1, ndofe)).ravel()
-    return sp.coo_matrix((ke.ravel(), (rows_i, cols_j)),
-                         shape=(mesh.n_udof, mesh.n_udof)).tocsr()
+    return _element_csr(edofs, edofs, _kuu_blocks(problem, result),
+                        (mesh.n_udof, mesh.n_udof))
 
 
 def assemble_rd(problem: Problem, d, d_prev, history_qp, phi_qp,
@@ -307,8 +422,9 @@ def _rd_residual(problem: Problem, d, d_prev, history_qp, phi_qp,
     return residual
 
 
-def _kdd(problem: Problem, history_qp, phi_qp, settings: SolverSettings,
-         regularized: bool = False):
+def _kdd_blocks(problem: Problem, history_qp, phi_qp,
+                settings: SolverSettings, regularized: bool = False):
+    """Element matrices (n_elems, nen, nen) of the crack-field system."""
     mesh = problem.mesh
     p = problem.params
     kappa = p.kappa
@@ -320,11 +436,15 @@ def _kdd(problem: Problem, history_qp, phi_qp, settings: SolverSettings,
     me = np.einsum("eq,eq,qa,qb->eab", mesh.w_detj, react,
                    mesh.shape_n, mesh.shape_n)
     me += np.einsum("eq,eqad,eqbd->eab", gradw, mesh.dn_dx, mesh.dn_dx)
-    nen = mesh.nodes_per_elem
-    rows_i = np.repeat(mesh.conn, nen, axis=1).ravel()
-    cols_j = np.tile(mesh.conn, (1, nen)).ravel()
-    return sp.coo_matrix((me.ravel(), (rows_i, cols_j)),
-                         shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    return me
+
+
+def _kdd(problem: Problem, history_qp, phi_qp, settings: SolverSettings,
+         regularized: bool = False):
+    mesh = problem.mesh
+    blocks = _kdd_blocks(problem, history_qp, phi_qp, settings, regularized)
+    return _element_csr(mesh.conn, mesh.conn, blocks,
+                        (mesh.n_nodes, mesh.n_nodes))
 
 
 def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
@@ -342,18 +462,13 @@ def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
     fphi = mat.transition_f(phi_qp, kappa, regularized, problem.l_delta)
 
     edofs = _scatter_udofs(mesh)
-    ndofe = edofs.shape[1]
-    nen = mesh.nodes_per_elem
 
     # K_ud: d sigma / d d = f(phi) g'(d) sigma+_eff
     gprime = -2.0 * (1.0 - kappa) * (1.0 - d_qp)
     coef = (fphi * gprime)[..., None] * result.sigma_plus[..., rows]
     block = np.einsum("eqsi,eqs,qa,eq->eia", mesh.b_u, coef, mesh.shape_n,
                       mesh.w_detj)
-    rows_i = np.repeat(edofs, nen, axis=1).ravel()
-    cols_j = np.tile(mesh.conn, (1, ndofe)).ravel()
-    k_ud = sp.coo_matrix((block.ravel(), (rows_i, cols_j)),
-                         shape=(mesh.n_udof, mesh.n_nodes)).tocsr()
+    k_ud = _element_csr(edofs, mesh.conn, block, (mesh.n_udof, mesh.n_nodes))
 
     # K_du: dR_d/du through the history where the maximum advanced this step;
     # dH/d eps = zeta f / psi_c * sigma+_eff on the active set
@@ -365,10 +480,7 @@ def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
     sens = (dcoef * scale)[..., None] * result.sigma_plus[..., rows]
     blk = np.einsum("qa,eqs,eqsj,eq->eaj", mesh.shape_n, sens, mesh.b_u,
                     mesh.w_detj)
-    rows_i = np.repeat(mesh.conn, ndofe, axis=1).ravel()
-    cols_j = np.tile(edofs, (1, nen)).ravel()
-    k_du = sp.coo_matrix((blk.ravel(), (rows_i, cols_j)),
-                         shape=(mesh.n_nodes, mesh.n_udof)).tocsr()
+    k_du = _element_csr(mesh.conn, edofs, blk, (mesh.n_nodes, mesh.n_udof))
     return k_ud, k_du
 
 
@@ -393,11 +505,29 @@ def assemble_tangent_blocks(problem: Problem, fields: FieldSet,
 # linear and nonlinear solves
 # ---------------------------------------------------------------------------
 
-def linear_solve(matrix: sp.csr_matrix, rhs: np.ndarray,
+def linear_solve(matrix, rhs: np.ndarray,
                  settings: SolverSettings) -> np.ndarray:
+    """Solve ``matrix @ x = rhs`` by one of two direct methods.
+
+    - ``matrix`` an ndarray: the lower band of a symmetric positive definite
+      matrix, as ``BandPattern.assemble`` returns it, solved by banded
+      Cholesky (LAPACK ``pbsv``).  The forward solves take this path: K_uu
+      on the free DOFs in Newton and K_dd in the crack solve.  A band that
+      is not positive definite raises SolverError; there is no LU fallback.
+    - ``matrix`` a scipy sparse matrix: solved by sparse LU (SuperLU).  The
+      adjoint solves take this path, since the Formulation-2 system is
+      unsymmetric.
+    """
     if rhs.size == 0:
         return np.zeros(0)
-    sol = spsolve(matrix.tocsc(), rhs)
+    if isinstance(matrix, np.ndarray):
+        try:
+            sol = solveh_banded(matrix, rhs, lower=True, check_finite=False)
+        except np.linalg.LinAlgError as err:
+            raise SolverError(f"banded Cholesky failed, matrix not positive "
+                              f"definite: {err}") from err
+    else:
+        sol = spsolve(matrix.tocsc(), rhs)
     if not np.all(np.isfinite(sol)):
         raise SolverError("linear solve produced non-finite values "
                           "(singular system after elimination?)")
@@ -413,10 +543,13 @@ def solve_crack_field(problem: Problem, d_prev, history_qp, phi_qp,
     past those bounds, ``max(d - 1, d_prev - d, 0)``; it is nonzero exactly
     when the projection changed a value."""
     mesh = problem.mesh
-    zero_d = np.zeros(mesh.n_nodes)
-    residual0, k_dd = assemble_rd(problem, zero_d, d_prev, history_qp, phi_qp,
-                                  settings, regularized)
-    d_new = linear_solve(k_dd, -residual0, settings)
+    band = problem.dd_band
+    residual0 = _rd_residual(problem, np.zeros(mesh.n_nodes), d_prev,
+                             history_qp, phi_qp, settings, regularized)
+    k_dd = band.assemble(_kdd_blocks(problem, history_qp, phi_qp, settings,
+                                     regularized))
+    d_new = np.empty(mesh.n_nodes)
+    d_new[band.order] = linear_solve(k_dd, -residual0[band.order], settings)
     overshoot = max(float(np.max(d_new) - 1.0), float(np.max(d_prev - d_new)),
                     0.0)
     return np.clip(d_new, d_prev, 1.0), overshoot
@@ -454,9 +587,9 @@ def newton_displacement(problem: Problem, fields: FieldSet,
             break
         if free.size == 0:
             break
-        k_uu = _kuu(problem, result)
-        du = linear_solve(k_uu[free][:, free], -residual[free], settings)
-        u[free] += du
+        band = problem.uu_band
+        k_uu = band.assemble(_kuu_blocks(problem, result))
+        u[band.order] += linear_solve(k_uu, -residual[band.order], settings)
         corrections += 1
     raise SolverError("displacement Newton failed to converge",
                       residual=rnorm)

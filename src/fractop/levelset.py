@@ -56,11 +56,6 @@ def volume_ratio(mesh: Mesh, phi: np.ndarray) -> float:
     return float(solid / mesh.total_volume())
 
 
-def material_volume(mesh: Mesh, phi: np.ndarray) -> float:
-    phi_qp = mesh.interpolate(phi)
-    return float((mesh.w_detj * heaviside_exact(phi_qp)).sum())
-
-
 def dirac_volume_vector(mesh: Mesh, phi: np.ndarray,
                         l_delta: float = 5.0) -> np.ndarray:
     """Nodal assembly of int delta(phi) N_a dx (volume-constraint gradient)."""
@@ -114,9 +109,9 @@ def solve_reaction_diffusion(mesh: Mesh, phi_m: np.ndarray,
         pinned = np.asarray(pinned_nodes, dtype=int)
         free = np.setdiff1d(np.arange(mesh.n_nodes), pinned)
         phi[pinned] = 1.0
-        reduced = lhs[free][:, free]
-        rhs_f = rhs[free] - lhs[free][:, pinned] @ phi[pinned]
-        phi[free] = spsolve(reduced.tocsc(), rhs_f)
+        lhs_f = lhs[free]
+        rhs_f = rhs[free] - lhs_f[:, pinned] @ phi[pinned]
+        phi[free] = spsolve(lhs_f[:, free].tocsc(), rhs_f)
     else:
         phi = spsolve(lhs.tocsc(), rhs)
     if not np.all(np.isfinite(phi)):

@@ -128,9 +128,6 @@ class Mesh:
                     + np.arange(self.dimension)[None, :]).ravel()
         return nodes * self.dimension + component
 
-    def element_volume(self) -> np.ndarray:
-        return self.w_detj.sum(axis=1)
-
     def total_volume(self) -> float:
         return float(self.w_detj.sum())
 

@@ -1,6 +1,11 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
+from fractop import config
 from fractop import forward as fwd
 from fractop import material as mat
 from fractop import mesh as fm
@@ -348,6 +353,148 @@ class TestLoadHistory:
         assert traj is not None
         assert not traj.complete
         assert traj.n_steps >= 1
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def config_problem(name, counts=None):
+    cfg = config.load_config(CONFIG_DIR / name)
+    if counts is not None:
+        cfg = replace(cfg, counts=counts)
+    return cfg, config.build_problem(cfg)
+
+
+def band_to_dense(band):
+    """Symmetric dense matrix from LAPACK lower band storage."""
+    n = band.shape[1]
+    dense = np.zeros((n, n))
+    for k in range(band.shape[0]):
+        idx = np.arange(n - k)
+        dense[idx + k, idx] = band[k, :n - k]
+        dense[idx, idx + k] = band[k, :n - k]
+    return dense
+
+
+class TestBandedSolve:
+    @pytest.fixture(scope="class")
+    def ductile_state(self):
+        # the ductile strip at step 25: plastic everywhere, crack growing
+        cfg, prob = config_problem("ductile_strip2d.ini", (12, 4))
+        traj = fwd.run_load_history(prob, 25, cfg.displacement_per_step,
+                                    cfg.solver)
+        fields, qstate_prev = traj.fields[25], traj.qstates[24]
+        assert fields.d.max() > 0.1
+        assert np.all(traj.qstates[25].alpha > 0.0)
+        return prob, cfg.solver, fields, qstate_prev, traj.qstates[25]
+
+    def test_matches_sparse_lu_at_cracked_plastic_state(self, ductile_state):
+        prob, settings, fields, qstate_prev, qstate = ductile_state
+        mesh = prob.mesh
+        rng = np.random.default_rng(7)
+        result, _, phi_qp = fwd.constitutive_sweep(
+            prob, fields.u, fields.d, fields.phi, qstate_prev)
+        free = prob.free_dofs
+        cases = (
+            (prob.uu_band, fwd._kuu_blocks(prob, result),
+             fwd._kuu(prob, result)[free][:, free], free, mesh.n_udof),
+            (prob.dd_band,
+             fwd._kdd_blocks(prob, qstate.history, phi_qp, settings),
+             fwd._kdd(prob, qstate.history, phi_qp, settings),
+             np.arange(mesh.n_nodes), mesh.n_nodes),
+        )
+        for pattern, blocks, csr, unknowns, size in cases:
+            rhs = rng.normal(size=size)
+            banded = np.zeros(size)
+            banded[pattern.order] = fwd.linear_solve(
+                pattern.assemble(blocks), rhs[pattern.order], settings)
+            ref = spsolve(csr.tocsc(), rhs[unknowns])
+            err = np.abs(banded[unknowns] - ref).max() / np.abs(ref).max()
+            assert err < 1e-10
+
+    def test_band_repeats_the_csr_matrix_bit_for_bit(self, ductile_state):
+        # the band sums each entry in the order tocsr does, so the forward
+        # solves see the same matrix as the CSR blocks of the adjoint
+        prob, settings, fields, qstate_prev, qstate = ductile_state
+        result, _, phi_qp = fwd.constitutive_sweep(
+            prob, fields.u, fields.d, fields.phi, qstate_prev)
+        cases = (
+            (prob.uu_band, fwd._kuu_blocks(prob, result),
+             fwd._kuu(prob, result)),
+            (prob.dd_band,
+             fwd._kdd_blocks(prob, qstate.history, phi_qp, settings),
+             fwd._kdd(prob, qstate.history, phi_qp, settings)),
+        )
+        for pattern, blocks, csr in cases:
+            order = pattern.order
+            ref = np.tril(csr[order][:, order].toarray())
+            assert np.array_equal(np.tril(band_to_dense(
+                pattern.assemble(blocks))), ref)
+            rows, cols = np.nonzero(ref)
+            assert (rows - cols).max() == pattern.bandwidth
+
+    @pytest.mark.parametrize("name,counts,uu,dd", [
+        ("bend2d.ini", (80, 32), 69, 34),
+        ("bend2d.ini", (20, 8), 21, 10),
+        ("ductile_strip2d.ini", (48, 16), 37, 18),
+        ("block3d_elastic.ini", None, 41, 13),
+    ])
+    def test_half_bandwidth_of_structured_order(self, name, counts, uu, dd):
+        # an element's far corner comes s nodes after its first one:
+        # s = ny + 2 in 2D, 1 + 3 + 3 * 3 on the 5x3x3-node block; the
+        # interleaved DOFs widen that to dim (s + 1) - 1
+        cfg, prob = config_problem(name, counts)
+        dim = prob.mesh.dimension
+        assert prob.dd_band.bandwidth == dd
+        assert prob.uu_band.bandwidth == dim * (dd + 1) - 1 == uu
+        assert prob.uu_band.order.size == prob.free_dofs.size
+
+    def test_indefinite_matrix_raises(self):
+        # [[1, 2], [2, 1]] has eigenvalues 3 and -1
+        band = np.array([[1.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(fwd.SolverError, match="positive definite"):
+            fwd.linear_solve(band, np.ones(2), fwd.SolverSettings())
+
+    def test_problems_keep_their_own_orderings(self):
+        # same node count, transposed grids: the orderings differ, so a
+        # pattern shared between the two would give wrong solves
+        def strip(counts, extents):
+            mesh = fm.build_structured_mesh(2, counts, extents)
+            fm.tag_box(mesh, [(0, 0), (0, extents[1])], "left")
+            fm.tag_box(mesh, [(extents[0], extents[0]), (0, extents[1])],
+                       "right")
+            return fwd.Problem(mesh=mesh, params=elastic_params(),
+                               supports=[("left", (0, 1))],
+                               driven=("right", (0,)))
+
+        grids = {"wide": ([4, 2], [2.0, 1.0]), "tall": ([2, 4], [1.0, 2.0])}
+        alone = {key: fwd.run_load_history(strip(*grid), 2, 1e-3).reaction
+                 for key, grid in grids.items()}
+        probs = {key: strip(*grid) for key, grid in grids.items()}
+        for _ in range(2):
+            for key, prob in probs.items():
+                traj = fwd.run_load_history(prob, 2, 1e-3)
+                # linear elasticity: one exact solve per step converges
+                assert [s.newton_corrections for s in traj.stats] == [1, 1]
+                assert traj.reaction == alone[key]
+        assert not np.array_equal(probs["wide"].dd_band.order,
+                                  probs["tall"].dd_band.order)
+
+    def test_load_history_builds_each_pattern_once(self, monkeypatch):
+        built = []
+        band_pattern = fwd._band_pattern
+
+        def counted(order, *args):
+            built.append(order.size)
+            return band_pattern(order, *args)
+
+        monkeypatch.setattr(fwd, "_band_pattern", counted)
+        prob = make_bend_beam()
+        settings = fwd.SolverSettings(tau_f=1e-4)
+        for _ in range(2):
+            traj = fwd.run_load_history(prob, 3, -0.01, settings)
+        assert sum(s.newton_corrections for s in traj.stats) > 3
+        assert sorted(built) == [prob.mesh.n_nodes, prob.free_dofs.size]
 
 
 class TestTangentBlocks:
