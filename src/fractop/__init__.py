@@ -10,8 +10,7 @@ from .forward import (FieldSet, Problem, SolverError, SolverSettings,
 from .levelset import (TopoParams, dirac_regularized, heaviside_exact,
                        solve_reaction_diffusion, volume_ratio)
 from .material import (MaterialParams, QuadState, StressResult,
-                       consistent_tangent, degradation_g, energy_split,
-                       return_map, transition_f)
+                       degradation_g, energy_split, return_map, transition_f)
 from .mesh import Mesh, QuadratureRule, build_structured_mesh, quadrature, \
     shape_values, tag_region
 from .optimizer import (ConvergenceRecord, OptimizationResult,

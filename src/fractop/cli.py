@@ -6,8 +6,9 @@ Subcommands:
   verify-sensitivity central-difference check of the adjoint sensitivity
 
 Exit codes: 0 success, 1 solver or verification failure, 2 usage/config
-errors.  The environment variable FRACTOP_OUTPUT_DIR overrides the output
-directory of the configuration file.
+errors.  When a forward-only solve fails, the steps committed before the
+failure are still written.  The environment variable FRACTOP_OUTPUT_DIR
+overrides the output directory of the configuration file.
 """
 
 from __future__ import annotations
@@ -88,8 +89,17 @@ def cmd_forward_only(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg)
     outdir = _output_dir(cfg)
-    trajectory = run_load_history(problem, cfg.steps,
-                                  cfg.displacement_per_step, cfg.solver)
+    try:
+        trajectory = run_load_history(problem, cfg.steps,
+                                      cfg.displacement_per_step, cfg.solver)
+    except SolverError as err:
+        # keep the committed steps: curves and the last committed snapshot
+        partial = err.partial_trajectory
+        if partial is not None and partial.n_steps >= 1:
+            _write_trajectory(outdir, cfg, problem, partial)
+            log.info("wrote the %d committed steps before the failure",
+                     partial.n_steps)
+        raise
     _write_trajectory(outdir, cfg, problem, trajectory)
     return 0
 

@@ -13,6 +13,13 @@ because the nodes are ordered along the grid's short axes first; each
 Problem builds that ordering and the scatter into the band once, on first
 use.  The adjoint systems (unsymmetric for Formulation 2) stay sparse and go
 through sparse LU.
+
+The element matrices are weighted sums of quadrature-point operators that
+depend on the mesh alone, which each Problem also builds once, on first use
+(``ElementOperators``).  K_uu needs only the three tangent moduli (a, b, c)
+of ``material.tangent_moduli`` per point, never the 6x6 tangent; K_dd is a
+weighted sum of N_a N_b and grad N_a . grad N_b, and R_d(d) = K_dd d - load
+is evaluated as a block mat-vec with the same element matrices.
 """
 
 from __future__ import annotations
@@ -179,6 +186,12 @@ class Problem:
         return _band_pattern(_structured_node_order(self.mesh),
                              self.mesh.n_nodes, self.mesh.conn)
 
+    @cached_property
+    def operators(self) -> "ElementOperators":
+        """Quadrature-point operators of the element kernels, built on first
+        use."""
+        return _element_operators(self.mesh)
+
 
 # ---------------------------------------------------------------------------
 # kinematics and constitutive sweep
@@ -249,6 +262,41 @@ def _scatter_udofs(mesh: Mesh):
 
 def _voigt_rows(dim: int):
     return [0, 1, 5] if dim == 2 else [0, 1, 2, 3, 4, 5]
+
+
+@dataclass(frozen=True)
+class ElementOperators:
+    """Quadrature-point products of shape functions and strain operators;
+    they depend on the mesh alone.
+
+    - ``nn[q, a, b] = N_a N_b``, shape (nq, nen, nen);
+    - ``gg[e, q, a, b] = grad N_a . grad N_b``, shape (ne, nq, nen, nen);
+    - ``kuu[e, q]`` is ``m m^T`` with ``m = B^T 1`` (the normal-strain rows
+      of B summed) and ``kuu[e, nq + q]`` is ``B^T P_dev B``, each flattened,
+      shape (ne, 2 nq, ndofe^2).  With the tangent moduli (a, b, c) the
+      element stiffness is sum_q w (a m m^T + b B^T P_dev B + c v v^T),
+      v = B^T n.
+    """
+
+    nn: np.ndarray
+    gg: np.ndarray
+    kuu: np.ndarray
+
+
+def _element_operators(mesh: Mesh) -> ElementOperators:
+    dim = mesh.dimension
+    rows = _voigt_rows(dim)
+    b_u = mesh.b_u
+    m = b_u[:, :, :dim].sum(axis=2)
+    mm = m[..., :, None] * m[..., None, :]
+    pdev = np.einsum("eqsi,st,eqtj->eqij", b_u, mat._P_DEV[np.ix_(rows, rows)],
+                     b_u, optimize=True)
+    ne, nq, ndofe = m.shape
+    return ElementOperators(
+        nn=np.einsum("qa,qb->qab", mesh.shape_n, mesh.shape_n),
+        gg=np.einsum("eqad,eqbd->eqab", mesh.dn_dx, mesh.dn_dx),
+        kuu=np.concatenate([mm, pdev], axis=1).reshape(ne, 2 * nq,
+                                                       ndofe * ndofe))
 
 
 def _element_pairs(row_idx, col_idx):
@@ -373,12 +421,22 @@ def _ru_residual(problem: Problem, fields: FieldSet, result: mat.StressResult,
 
 def _kuu_blocks(problem: Problem, result: mat.StressResult):
     """Element stiffness matrices (n_elems, ndofe, ndofe) of the consistent
-    tangent."""
+    tangent, from its three moduli and ``Problem.operators``."""
     mesh = problem.mesh
-    rows = _voigt_rows(mesh.dimension)
-    dmat = result.tangent[..., rows, :][..., :, rows]
-    return np.einsum("eqsi,eqst,eqtj,eq->eij", mesh.b_u, dmat, mesh.b_u,
-                     mesh.w_detj, optimize=True)
+    a, b, c = result.moduli
+    w = mesh.w_detj
+    ndofe = mesh.b_u.shape[-1]
+    coef = np.concatenate([w * a, w * b], axis=1)
+    blocks = np.einsum("eq,eqk->ek", coef,
+                       problem.operators.kuu).reshape(-1, ndofe, ndofe)
+    # the radial-return term lives only on elements with a plastic point
+    plastic = np.flatnonzero(np.any(c != 0.0, axis=1))
+    if plastic.size:
+        nhat = result.nhat[plastic][..., _voigt_rows(mesh.dimension)]
+        v = np.einsum("eqsi,eqs->eqi", mesh.b_u[plastic], nhat)
+        blocks[plastic] += np.einsum("eq,eqi,eqj->eij", (w * c)[plastic],
+                                     v, v)
+    return blocks
 
 
 def _kuu(problem: Problem, result: mat.StressResult):
@@ -402,24 +460,25 @@ def assemble_rd(problem: Problem, d, d_prev, history_qp, phi_qp,
 
 def _rd_residual(problem: Problem, d, d_prev, history_qp, phi_qp,
                  settings: SolverSettings, regularized: bool = False):
+    """Crack-field residual K_dd d - load, one element block at a time."""
     mesh = problem.mesh
-    p = problem.params
-    kappa = p.kappa
-    visc = p.eta_f / settings.tau_f
-    fphi = mat.transition_f(phi_qp, kappa, regularized, problem.l_delta)
-
-    d_qp = mesh.interpolate(d)
-    dprev_qp = mesh.interpolate(d_prev)
-    grad_d = mesh.qp_gradient(d)
-
-    bulk = ((1.0 - kappa) * (d_qp - 1.0) * history_qp + d_qp
-            + visc * (d_qp - dprev_qp))
-    contrib = np.einsum("eq,eq,qa->ea", mesh.w_detj, bulk, mesh.shape_n)
-    gradw = (mesh.w_detj * p.l_f ** 2 * fphi)
-    contrib += np.einsum("eq,eqad,eqd->ea", gradw, mesh.dn_dx, grad_d)
+    blocks = _kdd_blocks(problem, history_qp, phi_qp, settings, regularized)
+    contrib = (blocks @ d[mesh.conn][..., None])[..., 0]
+    contrib -= _crack_load(problem, d_prev, history_qp, settings)
     residual = np.zeros(mesh.n_nodes)
     np.add.at(residual, mesh.conn, contrib)
     return residual
+
+
+def _crack_load(problem: Problem, d_prev, history_qp,
+                settings: SolverSettings):
+    """Element load vectors (n_elems, nen) of the crack-field system,
+    sum_q w ((1 - kappa) H + (eta_f / tau_f) d_prev) N_a."""
+    mesh = problem.mesh
+    p = problem.params
+    visc = p.eta_f / settings.tau_f
+    source = (1.0 - p.kappa) * history_qp + visc * mesh.interpolate(d_prev)
+    return (mesh.w_detj * source) @ mesh.shape_n
 
 
 def _kdd_blocks(problem: Problem, history_qp, phi_qp,
@@ -427,16 +486,16 @@ def _kdd_blocks(problem: Problem, history_qp, phi_qp,
     """Element matrices (n_elems, nen, nen) of the crack-field system."""
     mesh = problem.mesh
     p = problem.params
-    kappa = p.kappa
+    ops = problem.operators
     visc = p.eta_f / settings.tau_f
-    fphi = mat.transition_f(phi_qp, kappa, regularized, problem.l_delta)
-    gradw = (mesh.w_detj * p.l_f ** 2 * fphi)
+    fphi = mat.transition_f(phi_qp, p.kappa, regularized, problem.l_delta)
+    gradw = mesh.w_detj * p.l_f ** 2 * fphi
+    react = (1.0 - p.kappa) * history_qp + 1.0 + visc
 
-    react = (1.0 - kappa) * history_qp + 1.0 + visc
-    me = np.einsum("eq,eq,qa,qb->eab", mesh.w_detj, react,
-                   mesh.shape_n, mesh.shape_n)
-    me += np.einsum("eq,eqad,eqbd->eab", gradw, mesh.dn_dx, mesh.dn_dx)
-    return me
+    nq, nen, _ = ops.nn.shape
+    blocks = (mesh.w_detj * react) @ ops.nn.reshape(nq, -1)
+    blocks += (gradw[:, None, :] @ ops.gg.reshape(-1, nq, nen * nen))[:, 0]
+    return blocks.reshape(-1, nen, nen)
 
 
 def _kdd(problem: Problem, history_qp, phi_qp, settings: SolverSettings,
@@ -544,12 +603,13 @@ def solve_crack_field(problem: Problem, d_prev, history_qp, phi_qp,
     when the projection changed a value."""
     mesh = problem.mesh
     band = problem.dd_band
-    residual0 = _rd_residual(problem, np.zeros(mesh.n_nodes), d_prev,
-                             history_qp, phi_qp, settings, regularized)
+    load = np.zeros(mesh.n_nodes)
+    np.add.at(load, mesh.conn, _crack_load(problem, d_prev, history_qp,
+                                           settings))
     k_dd = band.assemble(_kdd_blocks(problem, history_qp, phi_qp, settings,
                                      regularized))
     d_new = np.empty(mesh.n_nodes)
-    d_new[band.order] = linear_solve(k_dd, -residual0[band.order], settings)
+    d_new[band.order] = linear_solve(k_dd, load[band.order], settings)
     overshoot = max(float(np.max(d_new) - 1.0), float(np.max(d_prev - d_new)),
                     0.0)
     return np.clip(d_new, d_prev, 1.0), overshoot
@@ -566,8 +626,8 @@ def newton_displacement(problem: Problem, fields: FieldSet,
     at the returned ``fields.u`` with ``fields.d``, ``fields.phi`` and
     ``qstate_prev``, so a caller at those same fields may reuse it.
 
-    Each iteration builds the residual first and K_uu (with the consistent
-    tangent) only when a correction follows, so the converged sweep never
+    Each iteration builds the residual first and K_uu (with the tangent
+    moduli) only when a correction follows, so the converged sweep never
     evaluates the tangent.
     """
     free = problem.free_dofs

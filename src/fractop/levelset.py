@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+from .forward import _element_csr
 from .mesh import Mesh
 
 
@@ -68,21 +69,15 @@ def dirac_volume_vector(mesh: Mesh, phi: np.ndarray,
 
 
 def _mass_matrix(mesh: Mesh) -> sp.csr_matrix:
-    nen = mesh.nodes_per_elem
     me = np.einsum("eq,qa,qb->eab", mesh.w_detj, mesh.shape_n, mesh.shape_n)
-    rows = np.repeat(mesh.conn, nen, axis=1).ravel()
-    cols = np.tile(mesh.conn, (1, nen)).ravel()
-    return sp.coo_matrix((me.ravel(), (rows, cols)),
-                         shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    return _element_csr(mesh.conn, mesh.conn, me,
+                        (mesh.n_nodes, mesh.n_nodes))
 
 
 def _laplace_matrix(mesh: Mesh) -> sp.csr_matrix:
-    nen = mesh.nodes_per_elem
     ke = np.einsum("eq,eqad,eqbd->eab", mesh.w_detj, mesh.dn_dx, mesh.dn_dx)
-    rows = np.repeat(mesh.conn, nen, axis=1).ravel()
-    cols = np.tile(mesh.conn, (1, nen)).ravel()
-    return sp.coo_matrix((ke.ravel(), (rows, cols)),
-                         shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    return _element_csr(mesh.conn, mesh.conn, ke,
+                        (mesh.n_nodes, mesh.n_nodes))
 
 
 def solve_reaction_diffusion(mesh: Mesh, phi_m: np.ndarray,

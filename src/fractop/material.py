@@ -2,6 +2,12 @@
 solid/void transition functions, radial-return J2 plasticity and the
 algorithmically consistent tangent.
 
+The consistent tangent of this isotropic model is fixed by three scalars per
+material point, C = a (1 x 1) + b P_dev + c (n x n) with n the unit flow
+direction and c = 0 at elastic points (Simo & Taylor, CMAME 48, 1985).
+``tangent_moduli`` computes (a, b, c); the stiffness assembly works from
+these, and the 6x6 ``StressResult.tangent`` is the same formula composed.
+
 Symmetric second-order tensors are stored in tensor Voigt order
 ``[11, 22, 33, 23, 13, 12]`` with *tensor* (not engineering) shear
 components; double contractions therefore weight the shear entries by 2.
@@ -97,19 +103,25 @@ class StressResult:
     sigma_eff: np.ndarray = None   # (..., 6) g(d)*sigma+~ + sigma-~ (no f)
     sigma_plus: np.ndarray = None  # (..., 6) effective damageable stress
     psi_p: np.ndarray = None       # (...) effective plastic energy 0.5*h*alpha^2
+    nhat: np.ndarray = None        # (..., 6) unit flow direction, 0 if elastic
     tangent_args: tuple = field(default=None, repr=False)
 
     @cached_property
-    def tangent(self) -> np.ndarray:
-        """(..., 6, 6) consistent tangent, engineering Voigt form.
+    def moduli(self) -> tuple:
+        """Scalars (a, b, c) of the consistent tangent, each shaped like
+        ``psi_plus``; see ``tangent_moduli``.
 
         Built on first access, because most updates (Newton residual checks,
         history sweeps) never read it.  ``tangent_args`` holds the arrays the
-        update itself computed, so this is the same ``_tangent`` call on the
-        same values that an eager evaluation would make, and the result is
-        identical to the last bit.
+        update itself computed, so the values equal those of an eager
+        evaluation to the last bit.
         """
-        return _tangent(*self.tangent_args)
+        return tangent_moduli(*self.tangent_args)
+
+    @cached_property
+    def tangent(self) -> np.ndarray:
+        """(..., 6, 6) consistent tangent, engineering Voigt form."""
+        return _tangent(*self.tangent_args, self.nhat)
 
 
 def trace(t6: np.ndarray) -> np.ndarray:
@@ -236,19 +248,21 @@ def return_map(eps_total: np.ndarray, state_n: QuadState, d, phi,
     return StressResult(sigma=sigma, psi_plus=psi_plus,
                         psi_minus=psi_minus, new_state=new_state,
                         sigma_eff=sigma_eff, sigma_plus=sig_plus, psi_p=psi_p,
-                        tangent_args=(params, fphi, gd, hplus, plastic,
-                                      dlam, eps_e, nhat))
+                        nhat=nhat, tangent_args=(params, fphi, gd, hplus,
+                                                 plastic, dlam, eps_e))
 
 
-def _tangent(params, fphi, gd, hplus, plastic, dlam, eps_e, nhat):
-    """Degraded consistent tangent in engineering Voigt form."""
+def tangent_moduli(params, fphi, gd, hplus, plastic, dlam, eps_e):
+    """Scalars (a, b, c) of the degraded consistent tangent
+    C = a (1 x 1) + b P_dev + c (n x n), in engineering Voigt form.
+
+    a carries the bulk modulus through the tension/compression split, b the
+    (plastically reduced) shear modulus and c the radial-return correction
+    along the flow direction n; c is 0 wherever the point is elastic.
+    """
     k = params.bulk_modulus
     mu = params.shear_modulus
     h = params.hardening_modulus
-
-    batch = dlam.shape
-    c_plus = np.zeros(batch + (6, 6))
-    c_plus += hplus[..., None, None] * (k * _J_VOL)
 
     # delta_1 = dlam / (sqrt(3/2)|s_dev| + 3 mu dlam) = dlam / q_trial
     s_dev = 2.0 * mu * deviator(eps_e)
@@ -258,37 +272,16 @@ def _tangent(params, fphi, gd, hplus, plastic, dlam, eps_e, nhat):
     delta1 = np.where(guard, dlam / np.where(guard, denom, 1.0), 0.0)
     delta2 = 1.0 / (3.0 * mu + h)
 
-    c_plus += (2.0 * mu * (1.0 - 3.0 * mu * delta1))[..., None, None] * _P_DEV
-    coeff = 6.0 * mu ** 2 * np.where(guard, delta1 - delta2, 0.0)
-    c_plus += coeff[..., None, None] * np.einsum("...i,...j->...ij", nhat, nhat)
+    fg = fphi * gd
+    a = fphi * k * (gd * hplus + (1.0 - hplus))
+    b = fg * (2.0 * mu * (1.0 - 3.0 * mu * delta1))
+    c = fg * (6.0 * mu ** 2 * np.where(guard, delta1 - delta2, 0.0))
+    return a, b, c
 
-    c_minus = (1.0 - hplus)[..., None, None] * (k * _J_VOL)
-    return fphi[..., None, None] * (gd[..., None, None] * c_plus + c_minus)
 
-
-def consistent_tangent(result: StressResult, params: MaterialParams, d, phi,
-                       regularized_heaviside: bool = False,
-                       l_delta: float = 5.0) -> np.ndarray:
-    """Recompute the consistent tangent from a completed state update.
-
-    Elastic points (zero plastic multiplier) reduce to the degraded elastic
-    tensor; the division guard covers the simultaneous vanishing of the
-    deviator norm and the multiplier.
-    """
-    d = np.broadcast_to(np.asarray(d, dtype=float), result.psi_plus.shape)
-    phi = np.broadcast_to(np.asarray(phi, dtype=float), result.psi_plus.shape)
-    fphi = transition_f(phi, params.kappa, regularized_heaviside, l_delta)
-    gd = degradation_g(d, params.kappa)
-    # rebuild the flow direction and trial measures from the stored state
-    dlam = result.new_state.lambda_p
-    plastic = dlam > 0.0
-    # sigma_eff = gd*sig+ + sig-; deviatoric part is gd * 2 mu dev(eps_e)
-    s_eff_dev = deviator(result.sigma_eff) / gd[..., None]
-    norm_s = tensor_norm(s_eff_dev)
-    safe = np.where(norm_s > 0.0, norm_s, 1.0)
-    nhat = np.where(plastic[..., None], s_eff_dev / safe[..., None], 0.0)
-    i1_sign = trace(result.sigma_eff)  # volumetric stress sign tracks I1
-    hplus = (i1_sign >= 0.0).astype(float)
-    eps_e_like = s_eff_dev / (2.0 * params.shear_modulus)
-    # reuse _tangent with deviator-only eps_e (volumetric part enters via hplus)
-    return _tangent(params, fphi, gd, hplus, plastic, dlam, eps_e_like, nhat)
+def _tangent(params, fphi, gd, hplus, plastic, dlam, eps_e, nhat):
+    """Degraded consistent tangent in engineering Voigt form: the three
+    ``tangent_moduli`` composed into (..., 6, 6)."""
+    a, b, c = tangent_moduli(params, fphi, gd, hplus, plastic, dlam, eps_e)
+    return (a[..., None, None] * _J_VOL + b[..., None, None] * _P_DEV
+            + c[..., None, None] * np.einsum("...i,...j->...ij", nhat, nhat))

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from . import material as mat
 from .forward import (Problem, SolverSettings, Trajectory,
                       assemble_tangent_blocks, constitutive_sweep,
-                      linear_solve, _scatter_udofs, _voigt_rows)
+                      linear_solve, _element_csr, _scatter_udofs, _voigt_rows)
 from .levelset import dirac_regularized, dirac_volume_vector
 
 log = logging.getLogger("fractop")
@@ -104,10 +104,7 @@ def residual_phi_derivative(problem: Problem, fields, qstate_prev,
         fb = np.einsum("eq,qb,c,qa->ebca", dfac * mesh.w_detj, mesh.shape_n,
                        problem.body_force, mesh.shape_n)
         blk -= fb.reshape(mesh.n_elems, ndofe, nen)
-    rows_i = np.repeat(edofs, nen, axis=1).ravel()
-    cols_j = np.tile(mesh.conn, (1, ndofe)).ravel()
-    dru = sp.coo_matrix((blk.ravel(), (rows_i, cols_j)),
-                        shape=(mesh.n_udof, mesh.n_nodes)).tocsr()
+    dru = _element_csr(edofs, mesh.conn, blk, (mesh.n_udof, mesh.n_nodes))
 
     # crack residual: with the history frozen only the gradient-term
     # transition factor depends on phi
@@ -115,10 +112,8 @@ def residual_phi_derivative(problem: Problem, fields, qstate_prev,
     gradw = mesh.w_detj * p.l_f ** 2 * dfac
     dblk = np.einsum("eq,eqbd,eqd,qa->eba", gradw, mesh.dn_dx, grad_d,
                      mesh.shape_n)
-    rows_i = np.repeat(mesh.conn, nen, axis=1).ravel()
-    cols_j = np.tile(mesh.conn, (1, nen)).ravel()
-    drd = sp.coo_matrix((dblk.ravel(), (rows_i, cols_j)),
-                        shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    drd = _element_csr(mesh.conn, mesh.conn, dblk,
+                       (mesh.n_nodes, mesh.n_nodes))
     return dru, drd
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fractop import cli
+from fractop import forward as fwd
 
 CANTILEVER = "configs/cantilever2d_elastic.ini"
 DUCTILE = "configs/ductile_strip2d.ini"
@@ -28,6 +29,39 @@ def test_forward_only_writes_curves_and_snapshot(outdir):
     assert cli.main(["forward-only", CANTILEVER]) == 0
     assert (outdir / "curves.csv").exists()
     assert (outdir / "step_0003.vtk").exists()
+
+
+def test_forward_only_failure_keeps_committed_steps(outdir, monkeypatch,
+                                                   capsys):
+    # the elastic cantilever commits a step with two solves (one crack
+    # solve, one Newton correction), so the fifth solve fails step 3
+    calls = []
+    linear_solve = fwd.linear_solve
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:
+            raise fwd.SolverError("injected failure")
+        return linear_solve(*args, **kwargs)
+
+    monkeypatch.setattr(fwd, "linear_solve", failing)
+    assert cli.main(["forward-only", CANTILEVER]) == 1
+    assert "injected failure" in capsys.readouterr().err
+    curves = (outdir / "curves.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in curves[1:]] == ["0", "1", "2"]
+    assert float(curves[-1].split(",")[1]) == pytest.approx(-2e-3)
+    assert (outdir / "step_0002.vtk").exists()
+    assert not (outdir / "step_0003.vtk").exists()
+
+
+def test_forward_only_failure_in_first_step_writes_nothing(outdir,
+                                                          monkeypatch):
+    def failing(*args, **kwargs):
+        raise fwd.SolverError("injected failure")
+
+    monkeypatch.setattr(fwd, "linear_solve", failing)
+    assert cli.main(["forward-only", CANTILEVER]) == 1
+    assert not (outdir / "curves.csv").exists()
 
 
 def test_forward_only_ductile_with_cadence(outdir):

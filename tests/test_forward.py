@@ -223,10 +223,11 @@ class TestStaggeredStep:
             assert stats.stalled is stalled
 
     def test_no_repeated_sweeps_or_discarded_tangents(self, monkeypatch):
-        # each pass reuses the previous pass's last Newton sweep, and the
-        # consistent tangent is built only for a Newton correction
+        # each pass reuses the previous pass's last Newton sweep, the tangent
+        # moduli are built only for a Newton correction, and the 6x6 tangent
+        # never is
         prob = make_bend_beam()
-        calls = {"sweep": 0, "tangent": 0, "solve": 0}
+        calls = {"sweep": 0, "moduli": 0, "tangent": 0, "solve": 0}
 
         def counted(key, func):
             def wrapper(*args, **kwargs):
@@ -236,6 +237,8 @@ class TestStaggeredStep:
 
         monkeypatch.setattr(fwd, "constitutive_sweep",
                             counted("sweep", fwd.constitutive_sweep))
+        monkeypatch.setattr(mat, "tangent_moduli",
+                            counted("moduli", mat.tangent_moduli))
         monkeypatch.setattr(mat, "_tangent", counted("tangent", mat._tangent))
         monkeypatch.setattr(fwd, "linear_solve",
                             counted("solve", fwd.linear_solve))
@@ -245,7 +248,8 @@ class TestStaggeredStep:
         assert stats.stagger_iterations > 2
         assert calls["sweep"] == (1 + stats.stagger_iterations
                                   + stats.newton_iterations)
-        assert calls["tangent"] == stats.newton_corrections
+        assert calls["moduli"] == stats.newton_corrections
+        assert calls["tangent"] == 0
         assert calls["solve"] == (stats.stagger_iterations
                                   + stats.newton_corrections)
 
@@ -495,6 +499,110 @@ class TestBandedSolve:
             traj = fwd.run_load_history(prob, 3, -0.01, settings)
         assert sum(s.newton_corrections for s in traj.stats) > 3
         assert sorted(built) == [prob.mesh.n_nodes, prob.free_dofs.size]
+
+
+class TestElementOperators:
+    """The operator-based kernels against the direct quadrature formulas
+    (the einsums they replaced)."""
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        # the elastic 20x8 bend, the plastic and cracked 12x4 ductile strip
+        # at step 25 and an elastic 4x2x2 hexahedral block
+        out = {}
+        for key, name, counts, steps in (
+                ("bend", "bend2d.ini", (20, 8), 24),
+                ("strip", "ductile_strip2d.ini", (12, 4), 25),
+                ("block", "block3d_elastic.ini", (4, 2, 2), 2)):
+            cfg, prob = config_problem(name, counts)
+            traj = fwd.run_load_history(prob, steps,
+                                        cfg.displacement_per_step, cfg.solver)
+            fields = traj.fields[steps]
+            result, _, phi_qp = fwd.constitutive_sweep(
+                prob, fields.u, fields.d, fields.phi, traj.qstates[steps - 1])
+            out[key] = (prob, cfg.solver, result, phi_qp, fields.d,
+                        traj.fields[steps - 1].d, traj.qstates[steps].history)
+        prob, _, result, _, d, _, _ = out["strip"]
+        assert np.all(result.moduli[2] != 0.0) and d.max() > 0.1
+        assert not np.any(out["bend"][2].moduli[2])
+        return out
+
+    @staticmethod
+    def _close(new, ref, rtol):
+        assert np.abs(new - ref).max() <= rtol * np.abs(ref).max()
+
+    @pytest.mark.parametrize("key", ["bend", "strip", "block"])
+    def test_kuu_matches_bdb_with_full_tangent(self, states, key):
+        prob, _, result, _, _, _, _ = states[key]
+        mesh = prob.mesh
+        rows = fwd._voigt_rows(mesh.dimension)
+        dmat = result.tangent[..., rows, :][..., :, rows]
+        ref = np.einsum("eqsi,eqst,eqtj,eq->eij", mesh.b_u, dmat, mesh.b_u,
+                        mesh.w_detj)
+        self._close(fwd._kuu_blocks(prob, result), ref, 1e-13)
+
+    @pytest.mark.parametrize("key", ["bend", "strip", "block"])
+    def test_crack_kernels_match_quadrature_formulas(self, states, key):
+        prob, settings, _, phi_qp, d, d_prev, hist = states[key]
+        mesh = prob.mesh
+        p = prob.params
+        kappa = p.kappa
+        visc = p.eta_f / settings.tau_f
+        gradw = mesh.w_detj * p.l_f ** 2 * mat.transition_f(phi_qp, kappa)
+        react = (1.0 - kappa) * hist + 1.0 + visc
+        k_ref = np.einsum("eq,eq,qa,qb->eab", mesh.w_detj, react,
+                          mesh.shape_n, mesh.shape_n)
+        k_ref += np.einsum("eq,eqad,eqbd->eab", gradw, mesh.dn_dx,
+                           mesh.dn_dx)
+        self._close(fwd._kdd_blocks(prob, hist, phi_qp, settings), k_ref,
+                    1e-14)
+
+        def residual(dv):
+            d_qp = mesh.interpolate(dv)
+            bulk = ((1.0 - kappa) * (d_qp - 1.0) * hist + d_qp
+                    + visc * (d_qp - mesh.interpolate(d_prev)))
+            contrib = np.einsum("eq,eq,qa->ea", mesh.w_detj, bulk,
+                                mesh.shape_n)
+            contrib += np.einsum("eq,eqad,eqd->ea", gradw, mesh.dn_dx,
+                                 mesh.qp_gradient(dv))
+            out = np.zeros(mesh.n_nodes)
+            np.add.at(out, mesh.conn, contrib)
+            return out
+
+        # at the converged d the residual is roundoff, so scale by its terms
+        load = np.abs(residual(np.zeros_like(d))).max()
+        for dv in (d, np.zeros_like(d), np.full_like(d, 0.5)):
+            err = np.abs(fwd._rd_residual(prob, dv, d_prev, hist, phi_qp,
+                                          settings) - residual(dv)).max()
+            assert err <= 1e-13 * max(load, np.abs(k_ref).max()
+                                      * np.abs(dv).max())
+
+    @pytest.mark.parametrize("key", ["bend", "strip", "block"])
+    def test_moduli_rebuild_the_tangent(self, states, key):
+        result = states[key][2]
+        a, b, c = result.moduli
+        nhat = result.nhat
+        rebuilt = (a[..., None, None] * mat._J_VOL
+                   + b[..., None, None] * mat._P_DEV
+                   + c[..., None, None] * nhat[..., :, None]
+                   * nhat[..., None, :])
+        self._close(rebuilt, result.tangent, 1e-14)
+
+    def test_load_history_builds_operators_once(self, monkeypatch):
+        built = []
+        element_operators = fwd._element_operators
+
+        def counted(mesh):
+            built.append(mesh)
+            return element_operators(mesh)
+
+        monkeypatch.setattr(fwd, "_element_operators", counted)
+        prob = make_bend_beam()
+        settings = fwd.SolverSettings(tau_f=1e-4)
+        for _ in range(2):
+            traj = fwd.run_load_history(prob, 3, -0.01, settings)
+        assert sum(s.newton_corrections for s in traj.stats) > 3
+        assert built == [prob.mesh]
 
 
 class TestTangentBlocks:
