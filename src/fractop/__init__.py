@@ -12,16 +12,15 @@ from .levelset import (TopoParams, dirac_regularized, heaviside_exact,
 from .material import (MaterialParams, QuadState, StressResult,
                        degradation_g, energy_split, return_map, transition_f)
 from .mesh import Mesh, QuadratureRule, build_structured_mesh, quadrature, \
-    shape_values, tag_region
+    shape_values
 from .optimizer import (ConvergenceRecord, OptimizationResult,
                         OptimizationSettings, OptimizerState,
                         expected_volume, run_optimization)
 from .phasefield import (FractureConstants, crack_density, critical_psi,
                          driving_force, update_history)
-from .sensitivity import (AdjointState, SensitivityField, adjoint_solve,
-                          adjoint_sweep, objective_increment,
-                          objective_total, residual_phi_derivative,
-                          solid_sensitivity, total_sensitivity,
+from .sensitivity import (AdjointState, adjoint_solve, adjoint_sweep,
+                          objective_increment, objective_total,
+                          residual_phi_derivative, solid_sensitivity,
                           velocity_from_sensitivity)
 
 __version__ = "0.1.0"

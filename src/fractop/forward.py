@@ -20,6 +20,13 @@ depend on the mesh alone, which each Problem also builds once, on first use
 of ``material.tangent_moduli`` per point, never the 6x6 tangent; K_dd is a
 weighted sum of N_a N_b and grad N_a . grad N_b, and R_d(d) = K_dd d - load
 is evaluated as a block mat-vec with the same element matrices.
+
+The solid/void transition f(phi) is chosen once per problem:
+``Problem.transition`` uses the exact Heaviside unless
+``Problem.regularized`` is set, which only the finite-difference arm of the
+sensitivity check does (``verify``).  Every solve on a problem therefore
+sees one transition; the constitutive sweep stores it on the
+``StressResult`` (``fphi``) and the assembly reads it from there.
 """
 
 from __future__ import annotations
@@ -133,6 +140,7 @@ class Problem:
     driven: tuple
     body_force: np.ndarray = None
     l_delta: float = 5.0
+    regularized: bool = False   # logistic Heaviside in f(phi), FD arm only
 
     prescribed_dofs: np.ndarray = None
     driven_dofs: np.ndarray = None
@@ -172,6 +180,12 @@ class Problem:
     def initial_state(self) -> QuadState:
         return QuadState.zeros((self.mesh.n_elems,
                                 len(self.mesh.quad_rule.weights)))
+
+    def transition(self, phi_qp) -> np.ndarray:
+        """Solid/void transition f(phi) at quadrature points, exact or
+        regularized as ``regularized`` picks."""
+        return mat.transition_f(phi_qp, self.params.kappa, self.regularized,
+                                self.l_delta)
 
     @cached_property
     def uu_band(self) -> "BandPattern":
@@ -215,8 +229,7 @@ def strain_tensor6(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def constitutive_sweep(problem: Problem, u, d, phi, qstate_prev: QuadState,
-                       regularized: bool = False):
+def constitutive_sweep(problem: Problem, u, d, phi, qstate_prev: QuadState):
     """Return-map every quadrature point at the given nodal fields."""
     mesh = problem.mesh
     eps = strain_tensor6(mesh, u)
@@ -224,29 +237,22 @@ def constitutive_sweep(problem: Problem, u, d, phi, qstate_prev: QuadState,
     d_qp = np.clip(d_qp, 0.0, 1.0)
     phi_qp = mesh.interpolate(phi)
     result = mat.return_map(eps, qstate_prev, d_qp, phi_qp, problem.params,
-                            regularized_heaviside=regularized,
-                            l_delta=problem.l_delta)
+                            fphi=problem.transition(phi_qp))
     return result, d_qp, phi_qp
 
 
-def driving_energy(problem: Problem, result: mat.StressResult, phi_qp,
-                   regularized: bool = False):
+def driving_energy(result: mat.StressResult):
     """Effective energy scaled by the solid/void transition; feeds the
     crack driving force."""
-    fphi = mat.transition_f(phi_qp, problem.params.kappa, regularized,
-                            problem.l_delta)
-    return fphi * (result.psi_plus + result.psi_p)
+    return result.fphi * (result.psi_plus + result.psi_p)
 
 
-def tentative_history(problem: Problem, result, phi_qp, qstate_prev,
-                      regularized: bool = False):
+def tentative_history(problem: Problem, result, qstate_prev):
     constants = pf.FractureConstants(psi_c=problem.params.psi_c,
                                      l_f=problem.params.l_f,
                                      zeta=problem.params.zeta,
                                      eta_f=problem.params.eta_f)
-    d_tilde = pf.driving_force(driving_energy(problem, result, phi_qp,
-                                              regularized),
-                               0.0, constants)
+    d_tilde = pf.driving_force(driving_energy(result), 0.0, constants)
     return pf.update_history(qstate_prev.history, d_tilde)
 
 
@@ -388,19 +394,16 @@ def _band_pattern(order, n_global, element_idx) -> BandPattern:
                        bandwidth=band_width - 1)
 
 
-def assemble_ru(problem: Problem, fields: FieldSet, result: mat.StressResult,
-                phi_qp=None, regularized: bool = False):
+def assemble_ru(problem: Problem, fields: FieldSet, result: mat.StressResult):
     """Internal-minus-external force and consistent stiffness for u.
 
     Returns the full residual vector (prescribed rows carry the reaction
     forces) and K_uu in CSR form.
     """
-    return (_ru_residual(problem, fields, result, phi_qp, regularized),
-            _kuu(problem, result))
+    return _ru_residual(problem, result), _kuu(problem, result)
 
 
-def _ru_residual(problem: Problem, fields: FieldSet, result: mat.StressResult,
-                 phi_qp=None, regularized: bool = False):
+def _ru_residual(problem: Problem, result: mat.StressResult):
     mesh = problem.mesh
     sig = result.sigma[..., _voigt_rows(mesh.dimension)]
     edofs = _scatter_udofs(mesh)
@@ -409,11 +412,7 @@ def _ru_residual(problem: Problem, fields: FieldSet, result: mat.StressResult,
     np.add.at(residual, edofs, fe)
 
     if problem.body_force is not None:
-        if phi_qp is None:
-            phi_qp = mesh.interpolate(fields.phi)
-        fphi = mat.transition_f(phi_qp, problem.params.kappa, regularized,
-                                problem.l_delta)
-        w = mesh.w_detj * fphi
+        w = mesh.w_detj * result.fphi
         fb = np.einsum("eq,qa,c->eac", w, mesh.shape_n, problem.body_force)
         np.add.at(residual, edofs, -fb.reshape(mesh.n_elems, -1))
     return residual
@@ -447,22 +446,21 @@ def _kuu(problem: Problem, result: mat.StressResult):
 
 
 def assemble_rd(problem: Problem, d, d_prev, history_qp, phi_qp,
-                settings: SolverSettings, regularized: bool = False):
+                settings: SolverSettings):
     """Crack-field residual and SPD system matrix.
 
     Residual form: [(1-kappa)(d-1)H + d + (eta_f/tau_f)(d - d_prev)] N
     + l_f^2 f(phi) grad d . grad N.
     """
-    return (_rd_residual(problem, d, d_prev, history_qp, phi_qp, settings,
-                         regularized),
-            _kdd(problem, history_qp, phi_qp, settings, regularized))
+    return (_rd_residual(problem, d, d_prev, history_qp, phi_qp, settings),
+            _kdd(problem, history_qp, phi_qp, settings))
 
 
 def _rd_residual(problem: Problem, d, d_prev, history_qp, phi_qp,
-                 settings: SolverSettings, regularized: bool = False):
+                 settings: SolverSettings):
     """Crack-field residual K_dd d - load, one element block at a time."""
     mesh = problem.mesh
-    blocks = _kdd_blocks(problem, history_qp, phi_qp, settings, regularized)
+    blocks = _kdd_blocks(problem, history_qp, phi_qp, settings)
     contrib = (blocks @ d[mesh.conn][..., None])[..., 0]
     contrib -= _crack_load(problem, d_prev, history_qp, settings)
     residual = np.zeros(mesh.n_nodes)
@@ -482,14 +480,13 @@ def _crack_load(problem: Problem, d_prev, history_qp,
 
 
 def _kdd_blocks(problem: Problem, history_qp, phi_qp,
-                settings: SolverSettings, regularized: bool = False):
+                settings: SolverSettings):
     """Element matrices (n_elems, nen, nen) of the crack-field system."""
     mesh = problem.mesh
     p = problem.params
     ops = problem.operators
     visc = p.eta_f / settings.tau_f
-    fphi = mat.transition_f(phi_qp, p.kappa, regularized, problem.l_delta)
-    gradw = mesh.w_detj * p.l_f ** 2 * fphi
+    gradw = mesh.w_detj * p.l_f ** 2 * problem.transition(phi_qp)
     react = (1.0 - p.kappa) * history_qp + 1.0 + visc
 
     nq, nen, _ = ops.nn.shape
@@ -498,17 +495,15 @@ def _kdd_blocks(problem: Problem, history_qp, phi_qp,
     return blocks.reshape(-1, nen, nen)
 
 
-def _kdd(problem: Problem, history_qp, phi_qp, settings: SolverSettings,
-         regularized: bool = False):
+def _kdd(problem: Problem, history_qp, phi_qp, settings: SolverSettings):
     mesh = problem.mesh
-    blocks = _kdd_blocks(problem, history_qp, phi_qp, settings, regularized)
+    blocks = _kdd_blocks(problem, history_qp, phi_qp, settings)
     return _element_csr(mesh.conn, mesh.conn, blocks,
                         (mesh.n_nodes, mesh.n_nodes))
 
 
 def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
-                             qstate_prev: QuadState, phi_qp, d_qp,
-                             regularized: bool = False):
+                             qstate_prev: QuadState, d_qp):
     """Off-diagonal tangent blocks K_ud = dR_u/dd and K_du = dR_d/du.
 
     Internal plastic variables are frozen; the crack driving chain carries
@@ -518,7 +513,7 @@ def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
     p = problem.params
     kappa = p.kappa
     rows = _voigt_rows(mesh.dimension)
-    fphi = mat.transition_f(phi_qp, kappa, regularized, problem.l_delta)
+    fphi = result.fphi
 
     edofs = _scatter_udofs(mesh)
 
@@ -531,7 +526,7 @@ def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
 
     # K_du: dR_d/du through the history where the maximum advanced this step;
     # dH/d eps = zeta f / psi_c * sigma+_eff on the active set
-    energy = driving_energy(problem, result, phi_qp, regularized)
+    energy = driving_energy(result)
     active = ((result.new_state.history > qstate_prev.history)
               & (energy > p.psi_c)).astype(float)
     scale = active * p.zeta * fphi / p.psi_c
@@ -545,18 +540,14 @@ def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
 
 def assemble_tangent_blocks(problem: Problem, fields: FieldSet,
                             qstate_prev: QuadState, d_prev: np.ndarray,
-                            settings: SolverSettings,
-                            regularized: bool = False) -> TangentBlocks:
+                            settings: SolverSettings) -> TangentBlocks:
     """Re-assemble the full coupled tangent at a committed trajectory state."""
     result, d_qp, phi_qp = constitutive_sweep(problem, fields.u, fields.d,
-                                              fields.phi, qstate_prev,
-                                              regularized)
-    history_qp = tentative_history(problem, result, phi_qp, qstate_prev,
-                                   regularized)
+                                              fields.phi, qstate_prev)
+    history_qp = tentative_history(problem, result, qstate_prev)
     k_uu = _kuu(problem, result)
-    k_dd = _kdd(problem, history_qp, phi_qp, settings, regularized)
-    k_ud, k_du = assemble_coupling_blocks(problem, result, qstate_prev,
-                                          phi_qp, d_qp, regularized)
+    k_dd = _kdd(problem, history_qp, phi_qp, settings)
+    k_ud, k_du = assemble_coupling_blocks(problem, result, qstate_prev, d_qp)
     return TangentBlocks(k_uu=k_uu, k_ud=k_ud, k_du=k_du, k_dd=k_dd)
 
 
@@ -594,7 +585,7 @@ def linear_solve(matrix, rhs: np.ndarray,
 
 
 def solve_crack_field(problem: Problem, d_prev, history_qp, phi_qp,
-                      settings: SolverSettings, regularized: bool = False):
+                      settings: SolverSettings):
     """One linear solve of the crack-field equation (it is linear in d for a
     fixed history), projected onto [d_prev, 1] so the crack never heals.
 
@@ -606,8 +597,7 @@ def solve_crack_field(problem: Problem, d_prev, history_qp, phi_qp,
     load = np.zeros(mesh.n_nodes)
     np.add.at(load, mesh.conn, _crack_load(problem, d_prev, history_qp,
                                            settings))
-    k_dd = band.assemble(_kdd_blocks(problem, history_qp, phi_qp, settings,
-                                     regularized))
+    k_dd = band.assemble(_kdd_blocks(problem, history_qp, phi_qp, settings))
     d_new = np.empty(mesh.n_nodes)
     d_new[band.order] = linear_solve(k_dd, load[band.order], settings)
     overshoot = max(float(np.max(d_new) - 1.0), float(np.max(d_prev - d_new)),
@@ -616,8 +606,7 @@ def solve_crack_field(problem: Problem, d_prev, history_qp, phi_qp,
 
 
 def newton_displacement(problem: Problem, fields: FieldSet,
-                        qstate_prev: QuadState, settings: SolverSettings,
-                        regularized: bool = False):
+                        qstate_prev: QuadState, settings: SolverSettings):
     """Newton iteration for the displacement field at fixed d and phi.
 
     ``fields.u`` must already carry the prescribed values; only free DOFs
@@ -635,9 +624,9 @@ def newton_displacement(problem: Problem, fields: FieldSet,
     ref = None
     corrections = 0
     for it in range(settings.newton_max_iter + 1):
-        result, _, phi_qp = constitutive_sweep(
-            problem, u, fields.d, fields.phi, qstate_prev, regularized)
-        residual = _ru_residual(problem, fields, result, phi_qp, regularized)
+        result, _, _ = constitutive_sweep(problem, u, fields.d, fields.phi,
+                                          qstate_prev)
+        residual = _ru_residual(problem, result)
         rnorm = np.linalg.norm(residual[free]) if free.size else 0.0
         if ref is None:
             ref = max(rnorm, settings.newton_tol_abs)
@@ -657,7 +646,7 @@ def newton_displacement(problem: Problem, fields: FieldSet,
 
 def staggered_step(problem: Problem, fields_prev: FieldSet,
                    qstate_prev: QuadState, load_value: float,
-                   settings: SolverSettings, regularized: bool = False):
+                   settings: SolverSettings):
     """Alternate crack-field and displacement solves until the combined
     residual drops below the staggered tolerance; commits the quadrature
     state and history on exit.
@@ -679,19 +668,18 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
     d_last = None
     # phase-field part of the first pass: history from the start iterate
     result, _, phi_qp = constitutive_sweep(
-        problem, fields.u, fields.d, fields.phi, qstate_prev, regularized)
-    history_qp = tentative_history(problem, result, phi_qp, qstate_prev,
-                                   regularized)
+        problem, fields.u, fields.d, fields.phi, qstate_prev)
+    history_qp = tentative_history(problem, result, qstate_prev)
     for k in range(1, settings.stagger_max_iter + 1):
         fields.d, overshoot = solve_crack_field(
-            problem, fields_prev.d, history_qp, phi_qp, settings, regularized)
+            problem, fields_prev.d, history_qp, phi_qp, settings)
         stats.d_overshoot = max(stats.d_overshoot, overshoot)
 
         # mechanical part under the new prescribed values
         fields.u[problem.prescribed_dofs] = 0.0
         fields.u[problem.driven_dofs] = load_value
         result, residual, corr, nit = newton_displacement(
-            problem, fields, qstate_prev, settings, regularized)
+            problem, fields, qstate_prev, settings)
         stats.newton_corrections += corr
         stats.newton_iterations += nit
         stats.stagger_iterations = k
@@ -699,10 +687,9 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
         # combined residual at the end of the pass; bound-active crack DOFs
         # contribute only their feasible-direction (projected) residual.
         # The history also drives the next pass's crack solve.
-        history_qp = tentative_history(problem, result, phi_qp, qstate_prev,
-                                       regularized)
+        history_qp = tentative_history(problem, result, qstate_prev)
         rd = _rd_residual(problem, fields.d, fields_prev.d, history_qp,
-                          phi_qp, settings, regularized)
+                          phi_qp, settings)
         rd[(fields.d <= fields_prev.d) & (rd > 0.0)] = 0.0
         rd[(fields.d >= 1.0) & (rd < 0.0)] = 0.0
         res = (np.linalg.norm(residual[problem.free_dofs])
@@ -733,8 +720,7 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
 
 
 def run_load_history(problem: Problem, n_steps: int, du_per_step: float,
-                     settings: SolverSettings = None, phi=None,
-                     regularized: bool = False) -> Trajectory:
+                     settings: SolverSettings = None, phi=None) -> Trajectory:
     """March the prescribed displacement in ``n_steps`` uniform increments
     on a fixed topology, recording every committed state."""
     if n_steps < 1:
@@ -753,7 +739,7 @@ def run_load_history(problem: Problem, n_steps: int, du_per_step: float,
         load = n * du_per_step
         try:
             fields, qstate, stats = staggered_step(
-                problem, fields, qstate, load, settings, regularized)
+                problem, fields, qstate, load, settings)
         except SolverError as err:
             traj.complete = False
             err.partial_trajectory = traj

@@ -104,6 +104,7 @@ class StressResult:
     sigma_plus: np.ndarray = None  # (..., 6) effective damageable stress
     psi_p: np.ndarray = None       # (...) effective plastic energy 0.5*h*alpha^2
     nhat: np.ndarray = None        # (..., 6) unit flow direction, 0 if elastic
+    fphi: np.ndarray = None        # (...) solid/void transition f(phi) applied
     tangent_args: tuple = field(default=None, repr=False)
 
     @cached_property
@@ -154,9 +155,11 @@ def transition_f(phi, kappa, regularized: bool = False, l_delta: float = 5.0):
     """Solid/void transition f = (1-kappa) H(phi)^2 + kappa.
 
     With the exact (idempotent) Heaviside the quadratic penalty equals the
-    linear form; the finite-difference pipeline swaps in the logistic
-    regularized Heaviside (``regularized=True``), keeping the square so the
-    slope matches the analytic 2 H delta factor.
+    linear form.  ``regularized=True`` swaps in the logistic regularized
+    Heaviside, keeping the square so the slope matches the analytic
+    2 H delta factor; the forward solver picks one of the two per problem
+    (``forward.Problem.transition``), and only the finite-difference arm of
+    the sensitivity check picks the regularized one.
     """
     phi = np.asarray(phi, dtype=float)
     if regularized:
@@ -190,14 +193,17 @@ def energy_split(eps_e: np.ndarray, params: MaterialParams):
 
 
 def return_map(eps_total: np.ndarray, state_n: QuadState, d, phi,
-               params: MaterialParams, regularized_heaviside: bool = False,
-               l_delta: float = 5.0) -> StressResult:
+               params: MaterialParams, fphi=None) -> StressResult:
     """Radial-return state update for degraded J2 plasticity.
 
     The yield function compares the degraded deviatoric stress against the
     degraded yield force f(phi) g(d) (sigma_Y + h alpha); both carry the same
     factor, so the plastic multiplier equals the effective (undegraded) one.
     Void points (H(phi) = 0) stay elastic.
+
+    ``fphi`` is the solid/void transition f(phi) at the points; ``None``
+    takes the exact ``transition_f(phi, kappa)``.  The value used is kept as
+    ``StressResult.fphi``.
     """
     eps = np.asarray(eps_total, dtype=float)
     if not np.all(np.isfinite(eps)):
@@ -208,7 +214,8 @@ def return_map(eps_total: np.ndarray, state_n: QuadState, d, phi,
     mu = params.shear_modulus
     h = params.hardening_modulus
     kappa = params.kappa
-    fphi = transition_f(phi, kappa, regularized_heaviside, l_delta)
+    if fphi is None:
+        fphi = transition_f(phi, kappa)
     gd = degradation_g(d, kappa)
 
     eps_e_tr = eps - state_n.eps_p
@@ -248,8 +255,9 @@ def return_map(eps_total: np.ndarray, state_n: QuadState, d, phi,
     return StressResult(sigma=sigma, psi_plus=psi_plus,
                         psi_minus=psi_minus, new_state=new_state,
                         sigma_eff=sigma_eff, sigma_plus=sig_plus, psi_p=psi_p,
-                        nhat=nhat, tangent_args=(params, fphi, gd, hplus,
-                                                 plastic, dlam, eps_e))
+                        nhat=nhat, fphi=fphi,
+                        tangent_args=(params, fphi, gd, hplus, plastic, dlam,
+                                      eps_e))
 
 
 def tangent_moduli(params, fphi, gd, hplus, plastic, dlam, eps_e):

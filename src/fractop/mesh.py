@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -243,23 +242,6 @@ def _precompute_geometry(mesh: Mesh) -> None:
     mesh.dn_dx = dn_dx
     mesh.w_detj = w_detj
     mesh.b_u = b_u
-
-
-def tag_region(mesh: Mesh, predicate: Callable, name: str) -> Mesh:
-    """Store the node set {n : predicate(x_n)} under ``name``.
-
-    The predicate receives one coordinate array of shape (dim,).  An empty
-    match is allowed but warned about; reusing a name is an error.
-    """
-    if name in mesh.node_sets:
-        raise ValueError(f"node set {name!r} already defined")
-    mask = np.fromiter((bool(predicate(x)) for x in mesh.coords),
-                       dtype=bool, count=mesh.n_nodes)
-    nodes = np.flatnonzero(mask)
-    if nodes.size == 0:
-        warnings.warn(f"region {name!r} matched no nodes", stacklevel=2)
-    mesh.node_sets[name] = nodes
-    return mesh
 
 
 def tag_box(mesh: Mesh, bounds, name: str, tol: float = 1e-9) -> Mesh:

@@ -25,7 +25,7 @@ from . import material as mat
 from .forward import (Problem, SolverSettings, Trajectory,
                       assemble_tangent_blocks, constitutive_sweep,
                       linear_solve, _element_csr, _scatter_udofs, _voigt_rows)
-from .levelset import dirac_regularized, dirac_volume_vector
+from .levelset import dirac_regularized
 
 log = logging.getLogger("fractop")
 
@@ -39,18 +39,6 @@ class AdjointState:
     lambda_d: np.ndarray = None
     mu_d: np.ndarray = None
     lambda_v: float = 0.0
-
-
-@dataclass
-class SensitivityField:
-    """Nodal sensitivity split into solid and volume parts."""
-
-    g_solid: np.ndarray
-    g_volume: np.ndarray
-
-    @property
-    def g_total(self) -> np.ndarray:
-        return self.g_solid + self.g_volume
 
 
 def objective_increment(p_n, p_n_minus_1, du) -> float:
@@ -211,19 +199,6 @@ def solid_sensitivity(problem: Problem, trajectory: Trajectory,
             if formulation == 2 and adj.mu_d is not None:
                 g_s -= adj.mu_d @ dm[1]
     return g_s
-
-
-def total_sensitivity(problem: Problem, trajectory: Trajectory, adjoints,
-                      lambda_v: float, settings: SolverSettings,
-                      formulation: int = 2,
-                      phi: np.ndarray = None) -> SensitivityField:
-    """Solid plus volume sensitivity at the trajectory's topology."""
-    if phi is None:
-        phi = trajectory.fields[0].phi
-    g_s = solid_sensitivity(problem, trajectory, adjoints, settings,
-                            formulation)
-    g_v = lambda_v * dirac_volume_vector(problem.mesh, phi, problem.l_delta)
-    return SensitivityField(g_solid=g_s, g_volume=g_v)
 
 
 def velocity_from_sensitivity(g_total: np.ndarray) -> np.ndarray:

@@ -2,14 +2,19 @@
 sensitivity (full forward re-solves per probe) and of the consistent tangent
 at sampled material states.
 
-The finite-difference arms replace the exact Heaviside in the solid/void
+The finite-difference arm replaces the exact Heaviside in the solid/void
 transition by its regularized counterpart (the integral of the regularized
-Dirac); the analytic arm keeps the exact projection.  The remaining
-discrepancy sources are the perturbation size and the regularization itself.
+Dirac); the analytic arm keeps the exact projection.  The arm's forward
+solves run on a shallow copy of the problem with ``Problem.regularized``
+set, the one place that flag is set; the copy shares the mesh-only caches
+(band patterns, element operators) with the caller's problem.  The
+remaining discrepancy sources are the perturbation size and the
+regularization itself.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +59,9 @@ def _lagrangian(problem: Problem, phi, n_steps, du_per_step,
                 settings: SolverSettings, lambda_v: float) -> float:
     """Objective (plus the optional volume term) at a re-solved forward
     state with the regularized Heaviside driving the transition."""
-    traj = run_load_history(problem, n_steps, du_per_step, settings, phi=phi,
-                            regularized=True)
+    smooth = copy.copy(problem)
+    smooth.regularized = True
+    traj = run_load_history(smooth, n_steps, du_per_step, settings, phi=phi)
     value = objective_total(traj)
     if lambda_v != 0.0:
         phi_qp = problem.mesh.interpolate(np.asarray(phi, dtype=float))

@@ -31,9 +31,9 @@ class TestAssembleRu:
     def test_rest_state_zero_residual(self):
         prob = small_problem()
         fields = prob.initial_fields()
-        res, _, phi_qp = fwd.constitutive_sweep(
+        res, _, _ = fwd.constitutive_sweep(
             prob, fields.u, fields.d, fields.phi, prob.initial_state())
-        residual, _ = fwd.assemble_ru(prob, fields, res, phi_qp)
+        residual, _ = fwd.assemble_ru(prob, fields, res)
         assert np.abs(residual).max() == 0.0
 
     def test_elastic_patch_interior_residual_vanishes(self):
@@ -42,9 +42,9 @@ class TestAssembleRu:
         grad = np.array([[1e-3, 2e-4], [3e-4, -5e-4]])
         fields = prob.initial_fields()
         fields.u = (mesh.coords @ grad.T).ravel()
-        res, _, phi_qp = fwd.constitutive_sweep(
+        res, _, _ = fwd.constitutive_sweep(
             prob, fields.u, fields.d, fields.phi, prob.initial_state())
-        residual, _ = fwd.assemble_ru(prob, fields, res, phi_qp)
+        residual, _ = fwd.assemble_ru(prob, fields, res)
         fm.tag_box(mesh, [(0.4, 1.6), (0.4, 0.6)], "interior")
         interior = mesh.node_sets["interior"]
         assert np.abs(residual[mesh.udofs_of(interior)]).max() < 1e-10
@@ -62,13 +62,12 @@ class TestAssembleRu:
         def residual_at(uvec):
             f = prob.initial_fields()
             f.u, f.d = uvec, d
-            res, _, phi_qp = fwd.constitutive_sweep(prob, uvec, d, f.phi,
-                                                    state)
-            r, _ = fwd.assemble_ru(prob, f, res, phi_qp)
+            res, _, _ = fwd.constitutive_sweep(prob, uvec, d, f.phi, state)
+            r, _ = fwd.assemble_ru(prob, f, res)
             return r
 
-        res, _, phi_qp = fwd.constitutive_sweep(prob, u, d, fields.phi, state)
-        _, k_uu = fwd.assemble_ru(prob, fields, res, phi_qp)
+        res, _, _ = fwd.constitutive_sweep(prob, u, d, fields.phi, state)
+        _, k_uu = fwd.assemble_ru(prob, fields, res)
         h = 1e-7
         cols = rng.choice(mesh.n_udof, size=8, replace=False)
         for j in cols:
@@ -342,9 +341,9 @@ class TestLoadHistory:
                          [-2e-4, 1e-4, 4e-4]])
         fields = prob.initial_fields()
         fields.u = (mesh.coords @ grad.T).ravel()
-        res, _, phi_qp = fwd.constitutive_sweep(
+        res, _, _ = fwd.constitutive_sweep(
             prob, fields.u, fields.d, fields.phi, prob.initial_state())
-        residual, _ = fwd.assemble_ru(prob, fields, res, phi_qp)
+        residual, _ = fwd.assemble_ru(prob, fields, res)
         center = fm.tag_box(mesh, [(0.4, 0.6)] * 3, "mid").node_sets["mid"]
         assert np.abs(residual[mesh.udofs_of(center)]).max() < 1e-10
 
@@ -639,9 +638,9 @@ class TestTangentBlocks:
                                              traj.fields[0].d, settings)
 
         def ru_at(dv):
-            res, _, phi_qp = fwd.constitutive_sweep(prob, fields.u, dv,
-                                                    fields.phi, state0)
-            r, _ = fwd.assemble_ru(prob, fields, res, phi_qp)
+            res, _, _ = fwd.constitutive_sweep(prob, fields.u, dv,
+                                               fields.phi, state0)
+            r, _ = fwd.assemble_ru(prob, fields, res)
             return r
 
         h = 1e-7

@@ -94,30 +94,24 @@ def test_isoparametric_corners_reproduce_nodes():
             assert np.allclose(mapped, m.coords[m.conn[e, a]])
 
 
-def test_tag_region_left_edge():
-    m = fm.build_structured_mesh(2, [2, 1], [2.0, 1.0])
-    fm.tag_region(m, lambda x: x[0] == 0.0, "left")
-    assert np.array_equal(m.node_sets["left"], [0, 3])
-
-
 def test_tag_region_empty_warns():
     m = fm.build_structured_mesh(2, [1, 1], [1.0, 1.0])
     with pytest.warns(UserWarning):
-        fm.tag_region(m, lambda x: False, "nothing")
+        fm.tag_box(m, [(2.0, 3.0), (2.0, 3.0)], "nothing")
     assert m.node_sets["nothing"].size == 0
 
 
 def test_tag_region_duplicate_name_rejected():
     m = fm.build_structured_mesh(2, [1, 1], [1.0, 1.0])
-    fm.tag_region(m, lambda x: True, "all")
+    fm.tag_box(m, [(0.0, 1.0), (0.0, 1.0)], "all")
     with pytest.raises(ValueError):
-        fm.tag_region(m, lambda x: True, "all")
+        fm.tag_box(m, [(0.0, 1.0), (0.0, 1.0)], "all")
 
 
 def test_tag_loaded_band_on_beam_top():
     # band 3 <= x <= 5 on the top edge of the bend-beam analog
     m = fm.build_structured_mesh(2, [20, 8], [8.0, 2.0])
-    fm.tag_region(m, lambda x: 3.0 <= x[0] <= 5.0 and x[1] == 2.0, "load")
+    fm.tag_box(m, [(3.0, 5.0), (2.0, 2.0)], "load")
     nodes = m.node_sets["load"]
     # node spacing 0.4: x in {3.2, 3.6, 4.0, 4.4, 4.8}
     assert nodes.size == 5

@@ -45,6 +45,27 @@ class TestFdSensitivity:
         assert fwd_diff == pytest.approx(-rev_diff, abs=1e-18)
         assert a == pytest.approx(-fwd_diff / 2e-4)
 
+    def test_regularized_twin_shares_mesh_caches(self, monkeypatch):
+        # the FD arm solves on a regularized copy of the caller's problem
+        # that reuses its band patterns and element operators, not rebuilds
+        prob = make_cantilever(nx=4, ny=2)
+        caches = (prob.uu_band, prob.dd_band, prob.operators)
+        solved_on = []
+
+        def recording_run(problem, *args, **kwargs):
+            solved_on.append(problem)
+            return fwd.run_load_history(problem, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "run_load_history", recording_run)
+        verify._lagrangian(prob, np.ones(prob.mesh.n_nodes), 1, -1e-3,
+                           fwd.SolverSettings(), 0.0)
+        (twin,) = solved_on
+        assert twin.regularized is True
+        assert twin.uu_band is caches[0]
+        assert twin.dd_band is caches[1]
+        assert twin.operators is caches[2]
+        assert prob.regularized is False
+
     def test_deep_void_probe_in_dead_zone_is_negligible(self):
         # void block in the top-right corner, away from the load path
         prob = make_cantilever(nx=8, ny=4)
