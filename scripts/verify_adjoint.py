@@ -2,10 +2,12 @@
 elastic cantilever fixture.
 
 Usage: python scripts/verify_adjoint.py [--formulation 1|2] [--delta 1e-4]
-Prints the per-node error table and the summary statistics.
+Prints the per-node error table and the summary statistics; exits 1 when a
+finite-difference probe failed.
 """
 
 import argparse
+import sys
 
 from fractop import verify
 from fractop.config import build_problem, load_config
@@ -26,13 +28,22 @@ def main():
         formulation=args.formulation, delta_phi=args.delta)
 
     print(f"{'node':>6} {'analytic':>14} {'fd':>14} {'rel err':>10}")
+    # rel_error holds the valid probes only
+    j = 0
     for i, node in enumerate(report.nodes):
+        if report.invalid[i]:
+            print(f"{node:>6} {report.analytic[i]:>14.6e} {'failed':>14}")
+            continue
         print(f"{node:>6} {report.analytic[i]:>14.6e} "
-              f"{report.fd[i]:>14.6e} {report.rel_error[i]:>10.2e}")
-    print(f"\nprobes: {report.nodes.size}  delta: {report.delta_phi:g}")
+              f"{report.fd[i]:>14.6e} {report.rel_error[j]:>10.2e}")
+        j += 1
+    failed = int(report.invalid.sum())
+    print(f"\nprobes: {report.nodes.size}  failed: {failed}  "
+          f"delta: {report.delta_phi:g}")
     print(f"mean relative error: {report.mean_rel_error:.3e}")
     print(f"max relative error:  {report.max_rel_error:.3e}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

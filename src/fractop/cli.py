@@ -119,6 +119,11 @@ def cmd_verify_sensitivity(args) -> int:
     log.info("sensitivity check: mean rel. error %.3e over %d nodes "
              "(max %.3e)", report.mean_rel_error, report.nodes.size,
              report.max_rel_error)
+    if report.invalid.any():
+        # the mean covers the valid probes only
+        log.warning("%d finite-difference probes failed",
+                    int(report.invalid.sum()))
+        return 1
     return 0 if report.mean_rel_error < args.tolerance else 1
 
 

@@ -538,12 +538,12 @@ def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
     return k_ud, k_du
 
 
-def assemble_tangent_blocks(problem: Problem, fields: FieldSet,
-                            qstate_prev: QuadState, d_prev: np.ndarray,
+def assemble_tangent_blocks(problem: Problem, sweep, qstate_prev: QuadState,
                             settings: SolverSettings) -> TangentBlocks:
-    """Re-assemble the full coupled tangent at a committed trajectory state."""
-    result, d_qp, phi_qp = constitutive_sweep(problem, fields.u, fields.d,
-                                              fields.phi, qstate_prev)
+    """Re-assemble the full coupled tangent at a committed trajectory state
+    from its constitutive sweep, the return value of ``constitutive_sweep``
+    on that state and ``qstate_prev``."""
+    result, d_qp, phi_qp = sweep
     history_qp = tentative_history(problem, result, qstate_prev)
     k_uu = _kuu(problem, result)
     k_dd = _kdd(problem, history_qp, phi_qp, settings)

@@ -76,8 +76,8 @@ class Mesh:
     The mesh owns precomputed per-element, per-quadrature-point geometry:
     ``dN_dx`` (physical shape gradients), ``w_detj`` (weight times Jacobian
     determinant) and ``b_u`` (engineering strain-displacement matrices).
-    These arrays are never mutated after construction; named node/element
-    sets are the only post-construction additions.
+    These arrays are never mutated after construction; named node sets are
+    the only post-construction additions.
     """
 
     dimension: int
@@ -86,7 +86,6 @@ class Mesh:
     coords: np.ndarray            # (n_nodes, dim)
     conn: np.ndarray              # (n_elems, nen)
     node_sets: dict[str, np.ndarray] = field(default_factory=dict)
-    elem_sets: dict[str, np.ndarray] = field(default_factory=dict)
 
     # geometry caches, filled by build_structured_mesh
     quad_rule: QuadratureRule = None

@@ -56,9 +56,7 @@ class OptimizerState:
     lambda_v: float = 0.0
     lambda_lower: float = 1e-8
     lambda_upper: float = 1e8
-    target_volume: float = 0.4
     expected_volume: float = 1.0
-    theta_v: float = 0.05
     sensitivity_history: list = field(default_factory=list)
     objective_history: list = field(default_factory=list)
 
@@ -166,9 +164,7 @@ def run_optimization(problem: Problem, topo: TopoParams,
     stagnation window while the volume constraint is met."""
     solver = solver or SolverSettings()
     mesh = problem.mesh
-    state = OptimizerState(phi=np.ones(mesh.n_nodes),
-                           target_volume=settings.target_volume,
-                           theta_v=settings.theta_v)
+    state = OptimizerState(phi=np.ones(mesh.n_nodes))
     kernel = filtering.build_kernel(mesh, settings.r_min)
 
     records = []
@@ -192,8 +188,7 @@ def run_optimization(problem: Problem, topo: TopoParams,
 
         adjoints = sensitivity.adjoint_sweep(problem, trajectory, solver,
                                              settings.formulation)
-        g_s = sensitivity.solid_sensitivity(problem, trajectory, adjoints,
-                                            solver, settings.formulation)
+        g_s = sensitivity.solid_sensitivity(adjoints)
         g_tilde = filtering.filter_field(kernel, g_s)
         g_hat = filtering.history_average(
             g_tilde,

@@ -3,13 +3,17 @@ respect to the nodal topological field, plus velocity extraction for the
 level-set update.
 
 Per load step the transposed tangent system is solved with the adjoint
-pinned to half the displacement increment on prescribed DOFs; under
-monotonic loading the step-(n-1) multiplier equals the previous step's
-multiplier.  Formulation 1 constrains the displacement residual only,
-Formulation 2 the coupled displacement/crack system.  The assembled solid
-sensitivity is the total derivative dJ/dPhi of the (signed) objective
-J = -sum_n (P^n + P^{n-1}) . du^n / 2, so descent velocities follow as
-v = -(G_S + G_V).
+pinned to half the displacement increment on prescribed DOFs.  Formulation 1
+constrains the displacement residual only, Formulation 2 the coupled
+displacement/crack system.  Step n pairs its multiplier lambda^n with
+dR^n/dPhi and its second multiplier mu^n with dR^(n-1)/dPhi; under
+monotonic loading mu^n equals the previous step's lambda^(n-1).  So both
+products that involve committed level n use lambda^n, and ``adjoint_sweep``
+forms them from the one constitutive sweep of that level that also gives
+its tangent.  Level 0 is strain-free, so dR^0/dPhi vanishes and mu^1 needs
+no solve.  The assembled solid sensitivity is the total derivative dJ/dPhi
+of the (signed) objective J = -sum_n (P^n + P^{n-1}) . du^n / 2, so descent
+velocities follow as v = -(G_S + G_V).
 """
 
 from __future__ import annotations
@@ -32,13 +36,15 @@ log = logging.getLogger("fractop")
 
 @dataclass
 class AdjointState:
-    """Adjoint vectors of one load step (step-n lambdas, step-(n-1) mus)."""
+    """Adjoints of one load step and their products with the step's explicit
+    residual derivatives, g_u = lambda_u . dR_u/dPhi and
+    g_d = lambda_d . dR_d/dPhi; lambda_d and g_d are None for Formulation 1.
+    """
 
     lambda_u: np.ndarray
-    mu_u: np.ndarray
+    g_u: np.ndarray
     lambda_d: np.ndarray = None
-    mu_d: np.ndarray = None
-    lambda_v: float = 0.0
+    g_d: np.ndarray = None
 
 
 def objective_increment(p_n, p_n_minus_1, du) -> float:
@@ -59,10 +65,10 @@ def objective_total(trajectory: Trajectory) -> float:
     return total
 
 
-def residual_phi_derivative(problem: Problem, fields, qstate_prev,
-                            settings: SolverSettings):
+def residual_phi_derivative(problem: Problem, d, sweep):
     """Explicit partial derivatives dR_u/dPhi and dR_d/dPhi at a committed
-    state.
+    state, from its constitutive sweep (``forward.constitutive_sweep``) and
+    its nodal crack field ``d``.
 
     The Heaviside slope is replaced by the regularized Dirac; plastic
     variables and the crack driving history are held fixed, so only the
@@ -75,8 +81,7 @@ def residual_phi_derivative(problem: Problem, fields, qstate_prev,
     kappa = p.kappa
     rows = _voigt_rows(mesh.dimension)
 
-    result, d_qp, phi_qp = constitutive_sweep(
-        problem, fields.u, fields.d, fields.phi, qstate_prev)
+    result, _, phi_qp = sweep
     dfac = (2.0 * (1.0 - kappa)
             * mat.heaviside_regularized(phi_qp, problem.l_delta)
             * dirac_regularized(phi_qp, problem.l_delta))
@@ -96,7 +101,7 @@ def residual_phi_derivative(problem: Problem, fields, qstate_prev,
 
     # crack residual: with the history frozen only the gradient-term
     # transition factor depends on phi
-    grad_d = mesh.qp_gradient(fields.d)
+    grad_d = mesh.qp_gradient(d)
     gradw = mesh.w_detj * p.l_f ** 2 * dfac
     dblk = np.einsum("eq,eqbd,eqd,qa->eba", gradw, mesh.dn_dx, grad_d,
                      mesh.shape_n)
@@ -110,94 +115,69 @@ def adjoint_solve(blocks, du_full: np.ndarray, problem: Problem,
     """Solve the transposed tangent system with prescribed-DOF entries of
     the displacement adjoint pinned to du/2.
 
-    Returns (lambda_u, lambda_d); lambda_d is None for Formulation 1.
+    Formulation 1 solves K_uu^T on the free DOFs, Formulation 2 the coupled
+    system on the free DOFs and every crack DOF.  Returns
+    (lambda_u, lambda_d); lambda_d is None for Formulation 1.
     """
     mesh = problem.mesh
     pres = problem.prescribed_dofs
-    free = problem.free_dofs
-    pinned = 0.5 * du_full[pres]
-
+    ku = mesh.n_udof
     if formulation == 1:
-        kt = blocks.k_uu.T.tocsr()
-        lam = np.zeros(mesh.n_udof)
-        lam[pres] = pinned
-        if free.size:
-            rhs = -kt[free][:, pres] @ pinned
-            lam[free] = linear_solve(kt[free][:, free], rhs, settings)
-        return lam, None
-    if formulation != 2:
+        system = blocks.k_uu
+        unknown = problem.free_dofs
+    elif formulation == 2:
+        system = sp.bmat([[blocks.k_uu, blocks.k_ud],
+                          [blocks.k_du, blocks.k_dd]], format="csr")
+        unknown = np.concatenate([problem.free_dofs,
+                                  ku + np.arange(mesh.n_nodes)])
+    else:
         raise ValueError("formulation must be 1 or 2")
 
-    ku = mesh.n_udof
-    big = sp.bmat([[blocks.k_uu, blocks.k_ud],
-                   [blocks.k_du, blocks.k_dd]], format="csr").T.tocsr()
-    unknown = np.concatenate([free, ku + np.arange(mesh.n_nodes)])
-    lam_full = np.zeros(ku + mesh.n_nodes)
-    lam_full[pres] = pinned
-    rhs = -big[unknown][:, pres] @ pinned
-    lam_full[unknown] = linear_solve(big[unknown][:, unknown], rhs, settings)
-    return lam_full[:ku], lam_full[ku:]
+    pinned = 0.5 * du_full[pres]
+    lam = np.zeros(system.shape[0])
+    lam[pres] = pinned
+    rows = system.T.tocsr()[unknown]
+    lam[unknown] = linear_solve(rows[:, unknown], -rows[:, pres] @ pinned,
+                                settings)
+    return lam[:ku], (lam[ku:] if formulation == 2 else None)
 
 
 def adjoint_sweep(problem: Problem, trajectory: Trajectory,
                   settings: SolverSettings, formulation: int = 2):
-    """Per-step adjoints over the whole trajectory.
+    """Per-step adjoints over the whole trajectory, each with its products
+    against the explicit residual derivatives of its own level.
 
-    The mu multipliers reuse the previous step's lambdas (monotonic
-    loading); step zero is solved at the unloaded tangent so the n = 1
-    constraint is honored exactly.
+    One constitutive sweep of committed level n (fields[n] on qstates[n-1])
+    feeds both the tangent blocks and dR^n/dPhi.
     """
     adjoints = []
-    lam_prev = None
     for n in range(1, trajectory.n_steps + 1):
-        du = trajectory.fields[n].u - trajectory.fields[n - 1].u
-        if lam_prev is None:
-            blocks0 = assemble_tangent_blocks(
-                problem, trajectory.fields[0], trajectory.qstates[0],
-                trajectory.fields[0].d, settings)
-            lam_prev = adjoint_solve(blocks0, du, problem, settings,
+        fields = trajectory.fields[n]
+        qstate_prev = trajectory.qstates[n - 1]
+        sweep = constitutive_sweep(problem, fields.u, fields.d, fields.phi,
+                                   qstate_prev)
+        blocks = assemble_tangent_blocks(problem, sweep, qstate_prev,
+                                         settings)
+        du = fields.u - trajectory.fields[n - 1].u
+        lam_u, lam_d = adjoint_solve(blocks, du, problem, settings,
                                      formulation)
-        blocks = assemble_tangent_blocks(
-            problem, trajectory.fields[n], trajectory.qstates[n - 1],
-            trajectory.fields[n - 1].d, settings)
-        lam = adjoint_solve(blocks, du, problem, settings, formulation)
-        adjoints.append(AdjointState(lambda_u=lam[0], lambda_d=lam[1],
-                                     mu_u=lam_prev[0], mu_d=lam_prev[1]))
-        lam_prev = lam
+        dru, drd = residual_phi_derivative(problem, fields.d, sweep)
+        adjoints.append(AdjointState(
+            lambda_u=lam_u, g_u=lam_u @ dru, lambda_d=lam_d,
+            g_d=None if lam_d is None else lam_d @ drd))
     return adjoints
 
 
-def solid_sensitivity(problem: Problem, trajectory: Trajectory,
-                      adjoints, settings: SolverSettings,
-                      formulation: int = 2) -> np.ndarray:
-    """Assemble G_S = dJ/dPhi by pairing the adjoints with the explicit
-    residual derivatives of their own and the preceding step."""
-    if len(adjoints) != trajectory.n_steps:
-        raise ValueError("adjoint count does not match trajectory length")
-    n_nodes = problem.mesh.n_nodes
-    g_s = np.zeros(n_nodes)
-
-    # cache dR/dPhi per committed level; level 0 is strain-free and vanishes
-    deriv_cache = {0: None}
-
-    def deriv(level):
-        if level not in deriv_cache:
-            deriv_cache[level] = residual_phi_derivative(
-                problem, trajectory.fields[level],
-                trajectory.qstates[level - 1], settings)
-        return deriv_cache[level]
-
-    for n in range(1, trajectory.n_steps + 1):
-        adj = adjoints[n - 1]
-        dn = deriv(n)
-        g_s -= adj.lambda_u @ dn[0]
-        if formulation == 2 and adj.lambda_d is not None:
-            g_s -= adj.lambda_d @ dn[1]
-        dm = deriv(n - 1)
-        if dm is not None:
-            g_s -= adj.mu_u @ dm[0]
-            if formulation == 2 and adj.mu_d is not None:
-                g_s -= adj.mu_d @ dm[1]
+def solid_sensitivity(adjoints) -> np.ndarray:
+    """Assemble G_S = dJ/dPhi.  Step n subtracts lambda^n . dR^n/dPhi and
+    then mu^n . dR^(n-1)/dPhi, which are the products stored on steps n and
+    n - 1; step 1's second pair is level 0's and vanishes."""
+    g_s = np.zeros(adjoints[0].g_u.size)
+    for n, adj in enumerate(adjoints):
+        for level in ([adj] if n == 0 else [adj, adjoints[n - 1]]):
+            g_s -= level.g_u
+            if level.g_d is not None:
+                g_s -= level.g_d
     return g_s
 
 

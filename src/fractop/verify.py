@@ -56,24 +56,23 @@ def relative_error(a, b, floor: float = ERROR_FLOOR):
 
 
 def _lagrangian(problem: Problem, phi, n_steps, du_per_step,
-                settings: SolverSettings, lambda_v: float) -> float:
-    """Objective (plus the optional volume term) at a re-solved forward
-    state with the regularized Heaviside driving the transition."""
+                settings: SolverSettings) -> float:
+    """Objective at a re-solved forward state with the regularized Heaviside
+    driving the transition."""
+    # build the mesh caches on the caller's problem first, so the copy and
+    # every later probe share them
+    for cache in ("uu_band", "dd_band", "operators"):
+        getattr(problem, cache)
     smooth = copy.copy(problem)
     smooth.regularized = True
     traj = run_load_history(smooth, n_steps, du_per_step, settings, phi=phi)
-    value = objective_total(traj)
-    if lambda_v != 0.0:
-        phi_qp = problem.mesh.interpolate(np.asarray(phi, dtype=float))
-        h_reg = mat.heaviside_regularized(phi_qp, problem.l_delta)
-        value += lambda_v * float((problem.mesh.w_detj * h_reg).sum())
-    return value
+    return objective_total(traj)
 
 
 def fd_sensitivity(problem: Problem, index: int, delta_phi: float,
                    n_steps: int, du_per_step: float,
                    settings: SolverSettings = None, phi=None,
-                   lambda_v: float = 0.0, mode: str = "node") -> float:
+                   mode: str = "node") -> float:
     """Central difference of the Lagrangian under one nodal (or lumped
     element) perturbation of the topological field; returns the velocity
     estimate -dL/dPhi."""
@@ -91,18 +90,16 @@ def fd_sensitivity(problem: Problem, index: int, delta_phi: float,
     phi_plus[sel] += delta_phi
     phi_minus = base.copy()
     phi_minus[sel] -= delta_phi
-    l_plus = _lagrangian(problem, phi_plus, n_steps, du_per_step, settings,
-                         lambda_v)
-    l_minus = _lagrangian(problem, phi_minus, n_steps, du_per_step, settings,
-                          lambda_v)
+    l_plus = _lagrangian(problem, phi_plus, n_steps, du_per_step, settings)
+    l_minus = _lagrangian(problem, phi_minus, n_steps, du_per_step, settings)
     return -(l_plus - l_minus) / (2.0 * delta_phi)
 
 
 def compare_sensitivities(problem: Problem, nodes, n_steps: int,
                           du_per_step: float,
                           settings: SolverSettings = None, phi=None,
-                          formulation: int = 1, delta_phi: float = 1e-4,
-                          lambda_v: float = 0.0) -> FDReport:
+                          formulation: int = 1,
+                          delta_phi: float = 1e-4) -> FDReport:
     """Run both pipelines on a probe subset and report per-node errors.
 
     The analytic arm runs the exact-Heaviside forward solve, the adjoint
@@ -116,20 +113,14 @@ def compare_sensitivities(problem: Problem, nodes, n_steps: int,
 
     traj = run_load_history(problem, n_steps, du_per_step, settings, phi=base)
     adjoints = adjoint_sweep(problem, traj, settings, formulation)
-    g_s = solid_sensitivity(problem, traj, adjoints, settings, formulation)
-    if lambda_v != 0.0:
-        from .levelset import dirac_volume_vector
-        g_s = g_s + lambda_v * dirac_volume_vector(mesh, base,
-                                                   problem.l_delta)
-    analytic_v = -g_s[nodes]
+    analytic_v = -solid_sensitivity(adjoints)[nodes]
 
     fd_v = np.empty(nodes.size)
     invalid = np.zeros(nodes.size, dtype=bool)
     for i, node in enumerate(nodes):
         try:
             fd_v[i] = fd_sensitivity(problem, int(node), delta_phi, n_steps,
-                                     du_per_step, settings, phi=base,
-                                     lambda_v=lambda_v)
+                                     du_per_step, settings, phi=base)
         except Exception:
             fd_v[i] = np.nan
             invalid[i] = True

@@ -217,12 +217,10 @@ def test_criterion_08_bisection_fixed_point(bend_run):
     settings = bend_run.settings
     traj = bend_run.baseline
     adj = sens.adjoint_sweep(problem, traj, cfg.solver, cfg.formulation)
-    g_s = sens.solid_sensitivity(problem, traj, adj, cfg.solver,
-                                 cfg.formulation)
+    g_s = sens.solid_sensitivity(adj)
     kernel = filtering.build_kernel(problem.mesh, cfg.r_min)
     g_hat = filtering.filter_field(kernel, g_s)
-    state = OptimizerState(phi=np.ones(problem.mesh.n_nodes),
-                           target_volume=cfg.target_volume)
+    state = OptimizerState(phi=np.ones(problem.mesh.n_nodes))
     state.expected_volume = 0.97
     topo = TopoParams(eta_phi=cfg.topo.eta_phi, l_phi=cfg.topo.l_phi,
                       tau_phi=8.0, l_delta=cfg.topo.l_delta)

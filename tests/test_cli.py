@@ -117,6 +117,24 @@ def test_verify_sensitivity_fails_when_threshold_unmet(outdir):
     assert code == 1
 
 
+def test_verify_sensitivity_fails_when_a_probe_fails(outdir, monkeypatch,
+                                                    caplog):
+    # the mean error covers the valid probes only, so failed probes must
+    # fail the check on their own
+    from fractop import verify
+
+    def failing(*args, **kwargs):
+        raise fwd.SolverError("injected failure")
+
+    monkeypatch.setattr(verify, "_lagrangian", failing)
+    code = cli.main(["verify-sensitivity", CANTILEVER, "--max-probes", "4"])
+    assert code == 1
+    assert "4 finite-difference probes failed" in caplog.text
+    rows = (outdir / "fd_report.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(row.endswith(",nan,nan") for row in rows)
+
+
 def test_env_var_overrides_config_directory(tmp_path, monkeypatch):
     special = tmp_path / "elsewhere"
     monkeypatch.setenv("FRACTOP_OUTPUT_DIR", str(special))

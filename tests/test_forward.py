@@ -609,9 +609,11 @@ class TestTangentBlocks:
         prob = make_cantilever()
         settings = fwd.SolverSettings()
         traj = fwd.run_load_history(prob, 2, -1e-3, settings)
-        blocks = fwd.assemble_tangent_blocks(prob, traj.fields[2],
-                                             traj.qstates[1],
-                                             traj.fields[1].d, settings)
+        fields = traj.fields[2]
+        sweep = fwd.constitutive_sweep(prob, fields.u, fields.d, fields.phi,
+                                       traj.qstates[1])
+        blocks = fwd.assemble_tangent_blocks(prob, sweep, traj.qstates[1],
+                                             settings)
         k = blocks.k_uu.toarray()
         assert np.abs(k - k.T).max() <= 1e-8 * np.abs(k).max()
 
@@ -619,9 +621,10 @@ class TestTangentBlocks:
         prob = small_problem()
         settings = fwd.SolverSettings()
         fields = prob.initial_fields()
-        blocks = fwd.assemble_tangent_blocks(prob, fields,
-                                             prob.initial_state(),
-                                             fields.d, settings)
+        state0 = prob.initial_state()
+        sweep = fwd.constitutive_sweep(prob, fields.u, fields.d, fields.phi,
+                                       state0)
+        blocks = fwd.assemble_tangent_blocks(prob, sweep, state0, settings)
         assert blocks.k_ud.nnz == 0 or np.abs(blocks.k_ud.data).max() == 0.0
         assert blocks.k_du.nnz == 0 or np.abs(blocks.k_du.data).max() == 0.0
 
@@ -634,8 +637,9 @@ class TestTangentBlocks:
         rng = np.random.default_rng(3)
         fields.d = rng.uniform(0.05, 0.6, mesh.n_nodes)
         state0 = traj.qstates[0]
-        blocks = fwd.assemble_tangent_blocks(prob, fields, state0,
-                                             traj.fields[0].d, settings)
+        sweep = fwd.constitutive_sweep(prob, fields.u, fields.d, fields.phi,
+                                       state0)
+        blocks = fwd.assemble_tangent_blocks(prob, sweep, state0, settings)
 
         def ru_at(dv):
             res, _, _ = fwd.constitutive_sweep(prob, fields.u, dv,

@@ -57,8 +57,7 @@ class TestBisection:
         topo = ls.TopoParams()  # tau 1e-4: interface cannot cross zero
         settings = opt.OptimizationSettings(target_volume=0.4, r_min=0.5,
                                             velocity_cap=0.0)
-        state = opt.OptimizerState(phi=np.ones(prob.mesh.n_nodes),
-                                   target_volume=0.4)
+        state = opt.OptimizerState(phi=np.ones(prob.mesh.n_nodes))
         state.expected_volume = 0.97
         g_zero = np.zeros(prob.mesh.n_nodes)
         phi_new, lam, diag = opt.bisection_step(prob, state, g_zero, topo,
@@ -77,8 +76,7 @@ class TestBisection:
         topo = ls.TopoParams(eta_phi=1.0, l_phi=0.1, tau_phi=1.0)
         settings = opt.OptimizationSettings(target_volume=0.4, r_min=0.5,
                                             velocity_cap=0.0)
-        state = opt.OptimizerState(phi=np.ones(mesh.n_nodes),
-                                   target_volume=0.4)
+        state = opt.OptimizerState(phi=np.ones(mesh.n_nodes))
         state.expected_volume = 0.7
         w = ls.dirac_volume_vector(mesh, state.phi, topo.l_delta)
 
@@ -106,8 +104,7 @@ class TestBisection:
         mesh = prob.mesh
         topo = ls.TopoParams(eta_phi=1.0, l_phi=0.1, tau_phi=1.0)
         settings = opt.OptimizationSettings(target_volume=0.4, r_min=0.5)
-        state = opt.OptimizerState(phi=np.ones(mesh.n_nodes),
-                                   target_volume=0.4)
+        state = opt.OptimizerState(phi=np.ones(mesh.n_nodes))
         state.expected_volume = 0.8
         g_s = -1e-4 * np.ones(mesh.n_nodes)
         _, _, diag = opt.bisection_step(prob, state, g_s, topo, settings)

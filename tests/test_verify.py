@@ -38,10 +38,10 @@ class TestFdSensitivity:
         phi_p[node] += 1e-4
         phi_m = base.copy()
         phi_m[node] -= 1e-4
-        fwd_diff = lp(prob, phi_p, 1, -1e-3, settings, 0.0) \
-            - lp(prob, phi_m, 1, -1e-3, settings, 0.0)
-        rev_diff = lp(prob, phi_m, 1, -1e-3, settings, 0.0) \
-            - lp(prob, phi_p, 1, -1e-3, settings, 0.0)
+        fwd_diff = lp(prob, phi_p, 1, -1e-3, settings) \
+            - lp(prob, phi_m, 1, -1e-3, settings)
+        rev_diff = lp(prob, phi_m, 1, -1e-3, settings) \
+            - lp(prob, phi_p, 1, -1e-3, settings)
         assert fwd_diff == pytest.approx(-rev_diff, abs=1e-18)
         assert a == pytest.approx(-fwd_diff / 2e-4)
 
@@ -58,13 +58,34 @@ class TestFdSensitivity:
 
         monkeypatch.setattr(verify, "run_load_history", recording_run)
         verify._lagrangian(prob, np.ones(prob.mesh.n_nodes), 1, -1e-3,
-                           fwd.SolverSettings(), 0.0)
+                           fwd.SolverSettings())
         (twin,) = solved_on
         assert twin.regularized is True
         assert twin.uu_band is caches[0]
         assert twin.dd_band is caches[1]
         assert twin.operators is caches[2]
         assert prob.regularized is False
+
+    def test_probes_on_a_fresh_problem_build_the_caches_once(self,
+                                                            monkeypatch):
+        # the FD arm builds the mesh caches on the caller's problem, so its
+        # copies share them even when no analytic solve ran first
+        built = []
+        element_operators = fwd._element_operators
+
+        def counted(mesh):
+            built.append(mesh)
+            return element_operators(mesh)
+
+        monkeypatch.setattr(fwd, "_element_operators", counted)
+        prob = make_cantilever()
+        settings = fwd.SolverSettings()
+        counts = []
+        for node in verify.interior_solid_nodes(prob)[:2]:
+            verify.fd_sensitivity(prob, int(node), 1e-4, 1, -1e-3, settings)
+            counts.append(len(built))
+            built.clear()
+        assert counts == [1, 0]
 
     def test_deep_void_probe_in_dead_zone_is_negligible(self):
         # void block in the top-right corner, away from the load path
