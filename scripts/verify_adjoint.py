@@ -28,15 +28,12 @@ def main():
         formulation=args.formulation, delta_phi=args.delta)
 
     print(f"{'node':>6} {'analytic':>14} {'fd':>14} {'rel err':>10}")
-    # rel_error holds the valid probes only
-    j = 0
     for i, node in enumerate(report.nodes):
         if report.invalid[i]:
             print(f"{node:>6} {report.analytic[i]:>14.6e} {'failed':>14}")
             continue
         print(f"{node:>6} {report.analytic[i]:>14.6e} "
-              f"{report.fd[i]:>14.6e} {report.rel_error[j]:>10.2e}")
-        j += 1
+              f"{report.fd[i]:>14.6e} {report.rel_error[i]:>10.2e}")
     failed = int(report.invalid.sum())
     print(f"\nprobes: {report.nodes.size}  failed: {failed}  "
           f"delta: {report.delta_phi:g}")

@@ -16,8 +16,8 @@ from .mesh import Mesh, QuadratureRule, build_structured_mesh, quadrature, \
 from .optimizer import (ConvergenceRecord, OptimizationResult,
                         OptimizationSettings, OptimizerState,
                         expected_volume, run_optimization)
-from .phasefield import (FractureConstants, crack_density, critical_psi,
-                         driving_force, update_history)
+from .phasefield import (crack_density, critical_psi, driving_force,
+                         update_history)
 from .sensitivity import (AdjointState, adjoint_solve, adjoint_sweep,
                           objective_increment, objective_total,
                           residual_phi_derivative, solid_sensitivity,

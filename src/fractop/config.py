@@ -1,16 +1,26 @@
 """Run configuration: INI-style files with one block per concern, validated
-against a fixed schema with defaults for every parameter the scenarios do
-not override.
+against a fixed schema.
+
+``_SCHEMA`` is that schema: each INI key fills one field of one dataclass,
+either a settings object of the solvers (``MaterialParams``, ``TopoParams``,
+``SolverSettings``, ``OptimizationSettings``) or the run-level ``RunConfig``
+and its load ``RegionSpec``.  A key left out of the file takes the default
+that its dataclass declares.  Two defaults belong to the configuration
+itself, because ``OptimizationSettings`` holds none for them:
+``r_min = 3 * length_scale`` and ``target_volume = 1``.
 
 Regions are axis-aligned boxes (min/max per axis).  Exactly one of the
 fracture threshold forms (psi_c directly, critical stress, or toughness)
-must be given.
+must be given.  A malformed or out-of-range value raises ``ConfigError``
+naming its key (the command line exits 2).
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import re
+from collections import defaultdict
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import phasefield
@@ -26,23 +36,6 @@ class ConfigError(ValueError):
 
 
 _DOF_LETTERS = {"x": 0, "y": 1, "z": 2}
-
-_KNOWN_KEYS = {
-    "mesh": {"dimension", "counts", "extents"},
-    "material": {"bulk_modulus", "shear_modulus", "hardening_modulus",
-                 "yield_stress", "kappa"},
-    "fracture": {"psi_c", "sigma_c", "g_c", "length_scale", "zeta",
-                 "viscosity"},
-    "topology": {"eta_phi", "l_phi", "tau_phi", "l_delta", "r_min",
-                 "theta_v", "target_volume", "formulation",
-                 "max_iterations", "volume_tol", "stagnation_tol",
-                 "velocity_cap"},
-    "loading": {"load_box", "load_dofs", "displacement_per_step", "steps",
-                "tau_f", "body_force"},
-    "solver": {"newton_tol_abs", "newton_tol_rel", "newton_max_iter",
-               "stagger_tol", "stagger_max_iter"},
-    "output": {"directory", "snapshot_cadence"},
-}
 
 
 @dataclass
@@ -64,16 +57,9 @@ class RunConfig:
     load: RegionSpec
     displacement_per_step: float
     steps: int
+    optimization: OptimizationSettings
+    solver: SolverSettings
     body_force: tuple = None
-    target_volume: float = 1.0
-    theta_v: float = 0.05
-    formulation: int = 2
-    r_min: float = None
-    max_iterations: int = 300
-    volume_tol: float = 1e-2
-    stagnation_tol: float = 1e-4
-    velocity_cap: float = 2.0
-    solver: SolverSettings = field(default_factory=SolverSettings)
     output_dir: str = "out"
     snapshot_cadence: int = 0
 
@@ -84,6 +70,61 @@ def _floats(text: str) -> tuple:
 
 def _ints(text: str) -> tuple:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
+# (section, key, dataclass, field, parser).  sigma_c and g_c fill psi_c
+# through phasefield.critical_psi; load_dofs is parsed once the dimension
+# is known.
+_SCHEMA = (
+    ("mesh", "dimension", RunConfig, "dimension", int),
+    ("mesh", "counts", RunConfig, "counts", _ints),
+    ("mesh", "extents", RunConfig, "extents", _floats),
+    ("material", "bulk_modulus", MaterialParams, "bulk_modulus", float),
+    ("material", "shear_modulus", MaterialParams, "shear_modulus", float),
+    ("material", "hardening_modulus", MaterialParams, "hardening_modulus",
+     float),
+    ("material", "yield_stress", MaterialParams, "yield_stress", float),
+    ("material", "kappa", MaterialParams, "kappa", float),
+    ("fracture", "psi_c", MaterialParams, "psi_c", float),
+    ("fracture", "sigma_c", MaterialParams, "psi_c", float),
+    ("fracture", "g_c", MaterialParams, "psi_c", float),
+    ("fracture", "length_scale", MaterialParams, "l_f", float),
+    ("fracture", "zeta", MaterialParams, "zeta", float),
+    ("fracture", "viscosity", MaterialParams, "eta_f", float),
+    ("topology", "eta_phi", TopoParams, "eta_phi", float),
+    ("topology", "l_phi", TopoParams, "l_phi", float),
+    ("topology", "tau_phi", TopoParams, "tau_phi", float),
+    ("topology", "l_delta", TopoParams, "l_delta", float),
+    ("topology", "r_min", OptimizationSettings, "r_min", float),
+    ("topology", "theta_v", OptimizationSettings, "theta_v", float),
+    ("topology", "target_volume", OptimizationSettings, "target_volume",
+     float),
+    ("topology", "formulation", OptimizationSettings, "formulation", int),
+    ("topology", "max_iterations", OptimizationSettings,
+     "max_outer_iterations", int),
+    ("topology", "volume_tol", OptimizationSettings, "volume_tol", float),
+    ("topology", "stagnation_tol", OptimizationSettings, "stagnation_tol",
+     float),
+    ("topology", "velocity_cap", OptimizationSettings, "velocity_cap",
+     float),
+    ("loading", "load_box", RegionSpec, "box", _floats),
+    ("loading", "load_dofs", RegionSpec, "components", str),
+    ("loading", "displacement_per_step", RunConfig, "displacement_per_step",
+     float),
+    ("loading", "steps", RunConfig, "steps", int),
+    ("loading", "tau_f", SolverSettings, "tau_f", float),
+    ("loading", "body_force", RunConfig, "body_force", _floats),
+    ("solver", "newton_tol_abs", SolverSettings, "newton_tol_abs", float),
+    ("solver", "newton_tol_rel", SolverSettings, "newton_tol_rel", float),
+    ("solver", "newton_max_iter", SolverSettings, "newton_max_iter", int),
+    ("solver", "stagger_tol", SolverSettings, "stagger_tol", float),
+    ("solver", "stagger_max_iter", SolverSettings, "stagger_max_iter", int),
+    ("output", "directory", RunConfig, "output_dir", str),
+    ("output", "snapshot_cadence", RunConfig, "snapshot_cadence", int),
+)
+
+_KNOWN_KEYS = {section: {key for s, key, *_ in _SCHEMA if s == section}
+               for section, *_ in _SCHEMA}
 
 
 def _dofs(text: str, dimension: int) -> tuple:
@@ -128,65 +169,36 @@ def load_config(path) -> RunConfig:
         if required not in parser:
             raise ConfigError(f"missing required section [{required}]")
 
-    mesh_sec = parser["mesh"]
-    dimension = mesh_sec.getint("dimension")
-    if dimension not in (2, 3):
+    # dataclass -> {field: value} for every schema key the file sets, and
+    # field -> where it was set, to name the key in a range error
+    values = defaultdict(dict)
+    source = {}
+    for section, key, cls, name, parse in _SCHEMA:
+        if section not in parser or key not in parser[section]:
+            continue
+        source[name] = f"[{section}] {key} = {parser[section][key]}"
+        values[cls][name] = _parse(parser, section, key, parse)
+
+    run = values[RunConfig]
+    if run.get("dimension") not in (2, 3):
         raise ConfigError("mesh dimension must be 2 or 3")
-    counts = _ints(_require(mesh_sec, "counts", "mesh"))
-    extents = _floats(_require(mesh_sec, "extents", "mesh"))
-    if len(counts) != dimension or len(extents) != dimension:
+    dimension = run["dimension"]
+    for key in ("counts", "extents"):
+        if key not in run:
+            raise ConfigError(f"missing key {key!r} in [mesh]")
+    if len(run["counts"]) != dimension or len(run["extents"]) != dimension:
         raise ConfigError("counts/extents must have one entry per axis")
 
-    m = parser["material"]
-    bulk = m.getfloat("bulk_modulus")
-    shear = m.getfloat("shear_modulus")
-    if bulk is None or shear is None:
+    m = values[MaterialParams]
+    if "bulk_modulus" not in m or "shear_modulus" not in m:
         raise ConfigError("bulk_modulus and shear_modulus are required")
-    hardening = m.getfloat("hardening_modulus", fallback=0.0)
-    yield_stress = m.getfloat("yield_stress", fallback=1e16)
-    kappa = m.getfloat("kappa", fallback=1e-8)
-
-    f = parser["fracture"]
-    l_f = f.getfloat("length_scale")
-    if l_f is None:
+    if "l_f" not in m:
         raise ConfigError("fracture length_scale is required")
-    given = [k for k in ("psi_c", "sigma_c", "g_c") if k in f]
+    given = [k for k in ("psi_c", "sigma_c", "g_c") if k in parser["fracture"]]
     if len(given) != 1:
         raise ConfigError(
             "exactly one of psi_c / sigma_c / g_c must be given "
             f"(found {given or 'none'})")
-    if given[0] == "psi_c":
-        psi_c = f.getfloat("psi_c")
-    elif given[0] == "sigma_c":
-        e_mod = 9.0 * bulk * shear / (3.0 * bulk + shear)
-        psi_c = phasefield.critical_psi(sigma_c=f.getfloat("sigma_c"),
-                                        e_modulus=e_mod)
-    else:
-        psi_c = phasefield.critical_psi(g_c=f.getfloat("g_c"), l_f=l_f)
-    zeta = f.getfloat("zeta", fallback=1.0)
-    eta_f = f.getfloat("viscosity", fallback=1e-6)
-
-    params = MaterialParams(bulk_modulus=bulk, shear_modulus=shear,
-                            hardening_modulus=hardening,
-                            yield_stress=yield_stress, psi_c=psi_c,
-                            zeta=zeta, eta_f=eta_f, kappa=kappa, l_f=l_f)
-
-    t = parser["topology"] if "topology" in parser else {}
-    topo = TopoParams(
-        eta_phi=_getf(t, "eta_phi", 1.0),
-        l_phi=_getf(t, "l_phi", 1e-2),
-        tau_phi=_getf(t, "tau_phi", 1e-4),
-        l_delta=_getf(t, "l_delta", 5.0))
-    target_volume = _getf(t, "target_volume", 1.0)
-    theta_v = _getf(t, "theta_v", 0.05)
-    formulation = int(_getf(t, "formulation", 2))
-    if formulation not in (1, 2):
-        raise ConfigError("formulation must be 1 or 2")
-    r_min = _getf(t, "r_min", 3.0 * l_f)
-    max_iterations = int(_getf(t, "max_iterations", 300))
-    volume_tol = _getf(t, "volume_tol", 1e-2)
-    stagnation_tol = _getf(t, "stagnation_tol", 1e-4)
-    velocity_cap = _getf(t, "velocity_cap", 2.0)
 
     ld = parser["loading"]
     supports = []
@@ -196,46 +208,56 @@ def load_config(path) -> RunConfig:
         dof_key = stem + "_dofs"
         if dof_key not in ld:
             raise ConfigError(f"{key} given without {dof_key}")
-        supports.append(RegionSpec(box=_floats(ld[key]),
-                                   components=_dofs(ld[dof_key], dimension)))
+        supports.append(RegionSpec(
+            box=_parse(parser, "loading", key, _floats),
+            components=_parse(parser, "loading", dof_key,
+                              lambda text: _dofs(text, dimension))))
     if not supports:
         raise ConfigError("at least one supportN_box region is required")
-    load = RegionSpec(box=_floats(_require(ld, "load_box", "loading")),
-                      components=_dofs(_require(ld, "load_dofs", "loading"),
-                                       dimension))
-    du = ld.getfloat("displacement_per_step")
-    steps = ld.getint("steps")
-    if du is None or steps is None:
+    load = values[RegionSpec]
+    for key, name in (("load_box", "box"), ("load_dofs", "components")):
+        if name not in load:
+            raise ConfigError(f"missing key {key!r} in [loading]")
+    load["components"] = _parse(parser, "loading", "load_dofs",
+                                lambda text: _dofs(text, dimension))
+    if "displacement_per_step" not in run or "steps" not in run:
         raise ConfigError("displacement_per_step and steps are required")
-    if steps < 1:
+    if run["steps"] < 1:
         raise ConfigError("steps must be >= 1")
-    tau_f = ld.getfloat("tau_f", fallback=1e-4)
-    body_force = _floats(ld["body_force"]) if "body_force" in ld else None
-    if body_force is not None and len(body_force) != dimension:
+    if "body_force" in run and len(run["body_force"]) != dimension:
         raise ConfigError("body_force must have one entry per axis")
 
-    s = parser["solver"] if "solver" in parser else {}
-    solver = SolverSettings(
-        newton_tol_abs=_getf(s, "newton_tol_abs", 1e-10),
-        newton_tol_rel=_getf(s, "newton_tol_rel", 1e-8),
-        newton_max_iter=int(_getf(s, "newton_max_iter", 25)),
-        stagger_tol=_getf(s, "stagger_tol", 1e-6),
-        stagger_max_iter=int(_getf(s, "stagger_max_iter", 200)),
-        tau_f=tau_f)
+    try:
+        # psi_c holds the given threshold until it is converted
+        params = MaterialParams(**m)
+        if given[0] == "sigma_c":
+            params = replace(params, psi_c=phasefield.critical_psi(
+                sigma_c=params.psi_c, e_modulus=params.youngs_modulus))
+        elif given[0] == "g_c":
+            params = replace(params, psi_c=phasefield.critical_psi(
+                g_c=params.psi_c, l_f=params.l_f))
+        optimization = OptimizationSettings(**{
+            "target_volume": 1.0, "r_min": 3.0 * params.l_f,
+            **values[OptimizationSettings], "n_steps": run["steps"],
+            "du_per_step": run["displacement_per_step"]})
+        return RunConfig(
+            **run, material=params, topo=TopoParams(**values[TopoParams]),
+            supports=supports, load=RegionSpec(**load),
+            optimization=optimization,
+            solver=SolverSettings(**values[SolverSettings]))
+    except ValueError as err:
+        # the dataclass checks name the fields they reject
+        where = ", ".join(source[w] for w in re.findall(r"\w+", str(err))
+                          if w in source)
+        raise ConfigError(f"{where}: {err}" if where else str(err)) from err
 
-    o = parser["output"] if "output" in parser else {}
-    output_dir = o.get("directory", "out") if hasattr(o, "get") else "out"
-    cadence = int(_getf(o, "snapshot_cadence", 0))
 
-    return RunConfig(
-        dimension=dimension, counts=counts, extents=extents,
-        material=params, topo=topo, supports=supports, load=load,
-        displacement_per_step=du, steps=steps, body_force=body_force,
-        target_volume=target_volume, theta_v=theta_v,
-        formulation=formulation, r_min=r_min,
-        max_iterations=max_iterations, volume_tol=volume_tol,
-        stagnation_tol=stagnation_tol, velocity_cap=velocity_cap,
-        solver=solver, output_dir=output_dir, snapshot_cadence=cadence)
+def _parse(parser, section, key, parse):
+    raw = parser[section][key]
+    try:
+        return parse(raw)
+    except ValueError as err:
+        raise ConfigError(f"[{section}] {key} = {raw}: {err}") from err
 
 
 def _is_support_key(key: str) -> bool:
@@ -248,21 +270,12 @@ def _is_support_key(key: str) -> bool:
     return False
 
 
-def _require(section, key, name):
-    if key not in section:
-        raise ConfigError(f"missing key {key!r} in [{name}]")
-    return section[key]
-
-
-def _getf(section, key, default):
-    if hasattr(section, "getfloat"):
-        return section.getfloat(key, fallback=default)
-    return float(section.get(key, default)) if section else default
-
-
 def build_problem(cfg: RunConfig) -> Problem:
     """Materialize the mesh, tagged regions and constraints of a config."""
-    mesh = build_structured_mesh(cfg.dimension, cfg.counts, cfg.extents)
+    try:
+        mesh = build_structured_mesh(cfg.dimension, cfg.counts, cfg.extents)
+    except ValueError as err:
+        raise ConfigError(f"[mesh] {err}") from err
     supports = []
     for i, spec in enumerate(cfg.supports, start=1):
         name = f"support{i}"
@@ -275,13 +288,10 @@ def build_problem(cfg: RunConfig) -> Problem:
 
 
 def optimization_settings(cfg: RunConfig) -> OptimizationSettings:
-    return OptimizationSettings(
-        target_volume=cfg.target_volume, theta_v=cfg.theta_v,
-        formulation=cfg.formulation, r_min=cfg.r_min,
-        stagnation_tol=cfg.stagnation_tol, volume_tol=cfg.volume_tol,
-        max_outer_iterations=cfg.max_iterations, n_steps=cfg.steps,
-        du_per_step=cfg.displacement_per_step,
-        velocity_cap=cfg.velocity_cap)
+    """A fresh copy of ``cfg.optimization`` on the load history of ``cfg``
+    (callers may ``replace`` ``steps`` or ``displacement_per_step``)."""
+    return replace(cfg.optimization, n_steps=cfg.steps,
+                   du_per_step=cfg.displacement_per_step)
 
 
 def _pairs(box, dimension):

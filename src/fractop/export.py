@@ -91,14 +91,10 @@ def write_fd_report(path, report):
     """Sensitivity verification table with per-node errors."""
     path = Path(path)
     lines = ["node,analytic,fd,rel_error"]
-    j = 0
-    for i, node in enumerate(report.nodes):
-        if report.invalid is not None and report.invalid[i]:
-            lines.append(f"{int(node)},{_fmt(report.analytic[i])},nan,nan")
-            continue
-        lines.append(f"{int(node)},{_fmt(report.analytic[i])},"
-                     f"{_fmt(report.fd[i])},{_fmt(report.rel_error[j])}")
-        j += 1
+    # a failed probe has NaN fd and rel_error, written as "nan"
+    for node, *values in zip(report.nodes, report.analytic, report.fd,
+                             report.rel_error):
+        lines.append(",".join([str(int(node))] + [_fmt(v) for v in values]))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -68,6 +68,12 @@ class SolverSettings:
     stagger_max_iter: int = 200
     tau_f: float = 1e-4
 
+    def __post_init__(self):
+        if self.newton_max_iter < 0:
+            raise ValueError("newton_max_iter must be >= 0")
+        if self.stagger_max_iter < 1:
+            raise ValueError("stagger_max_iter must be >= 1")
+
 
 @dataclass
 class FieldSet:
@@ -106,7 +112,6 @@ class Trajectory:
     load_factor: list = field(default_factory=list)  # prescribed displacement
     reaction: list = field(default_factory=list)     # summed driven reactions
     stats: list = field(default_factory=list)        # StepStats per step
-    tau_f: float = 1e-4
     complete: bool = True
 
     @property
@@ -142,9 +147,9 @@ class Problem:
     l_delta: float = 5.0
     regularized: bool = False   # logistic Heaviside in f(phi), FD arm only
 
-    prescribed_dofs: np.ndarray = None
-    driven_dofs: np.ndarray = None
-    free_dofs: np.ndarray = None
+    prescribed_dofs: np.ndarray = field(init=False)
+    driven_dofs: np.ndarray = field(init=False)
+    free_dofs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         mesh = self.mesh
@@ -248,11 +253,7 @@ def driving_energy(result: mat.StressResult):
 
 
 def tentative_history(problem: Problem, result, qstate_prev):
-    constants = pf.FractureConstants(psi_c=problem.params.psi_c,
-                                     l_f=problem.params.l_f,
-                                     zeta=problem.params.zeta,
-                                     eta_f=problem.params.eta_f)
-    d_tilde = pf.driving_force(driving_energy(result), 0.0, constants)
+    d_tilde = pf.driving_force(driving_energy(result), 0.0, problem.params)
     return pf.update_history(qstate_prev.history, d_tilde)
 
 
@@ -729,7 +730,7 @@ def run_load_history(problem: Problem, n_steps: int, du_per_step: float,
     fields = problem.initial_fields(phi)
     qstate = problem.initial_state()
 
-    traj = Trajectory(tau_f=settings.tau_f)
+    traj = Trajectory()
     traj.fields.append(fields.copy())
     traj.qstates.append(qstate.copy())
     traj.load_factor.append(0.0)

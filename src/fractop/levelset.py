@@ -29,8 +29,9 @@ class TopoParams:
     l_delta: float = 5.0
 
     def __post_init__(self):
-        if min(self.eta_phi, self.l_phi, self.tau_phi, self.l_delta) <= 0:
-            raise ValueError("all reaction-diffusion parameters must be > 0")
+        for name in ("eta_phi", "l_phi", "tau_phi", "l_delta"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
 
 def heaviside_exact(phi):

@@ -50,15 +50,14 @@ class MaterialParams:
     l_f: float = 1.0
 
     def __post_init__(self):
-        if self.bulk_modulus <= 0 or self.shear_modulus <= 0:
-            raise ValueError("bulk and shear moduli must be positive")
-        if min(self.hardening_modulus, self.yield_stress, self.psi_c,
-               self.zeta, self.eta_f) < 0:
-            raise ValueError("h, sigma_Y, psi_c, zeta, eta_f must be >= 0")
+        for name in ("bulk_modulus", "shear_modulus", "psi_c", "l_f"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("hardening_modulus", "yield_stress", "zeta", "eta_f"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError("kappa must lie in (0, 1)")
-        if self.l_f <= 0:
-            raise ValueError("l_f must be positive")
 
     @property
     def youngs_modulus(self) -> float:

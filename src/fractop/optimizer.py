@@ -42,9 +42,11 @@ class OptimizationSettings:
 
     def __post_init__(self):
         if not 0.0 < self.target_volume <= 1.0:
-            raise ValueError("target volume fraction must lie in (0, 1]")
+            raise ValueError("target_volume must lie in (0, 1]")
         if self.formulation not in (1, 2):
             raise ValueError("formulation must be 1 or 2")
+        if not self.r_min > 0:
+            raise ValueError("r_min must be positive")
 
 
 @dataclass

@@ -9,24 +9,9 @@ energies before the threshold is applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class FractureConstants:
-    """Fracture parameters: threshold energy, length scale, post-critical
-    scaling and crack viscosity."""
-
-    psi_c: float
-    l_f: float
-    zeta: float = 1.0
-    eta_f: float = 1e-6
-
-    def __post_init__(self):
-        if self.psi_c <= 0 or self.l_f <= 0:
-            raise ValueError("psi_c and l_f must be positive")
+from .material import MaterialParams
 
 
 def crack_density(d, grad_d, l_f: float):
@@ -53,12 +38,10 @@ def critical_psi(sigma_c=None, g_c=None, e_modulus=None, l_f=None) -> float:
     return 3.0 * float(g_c) / (8.0 * l_f * np.sqrt(2.0))
 
 
-def driving_force(psi_plus, psi_p, constants: FractureConstants):
+def driving_force(psi_plus, psi_p, params: MaterialParams):
     """Normalized crack driving force zeta * <(psi+ + psi_p)/psi_c - 1>."""
-    if constants.psi_c <= 0:
-        raise ValueError("psi_c must be positive")
     total = np.asarray(psi_plus, dtype=float) + np.asarray(psi_p, dtype=float)
-    return constants.zeta * np.maximum(total / constants.psi_c - 1.0, 0.0)
+    return params.zeta * np.maximum(total / params.psi_c - 1.0, 0.0)
 
 
 def update_history(history_n, d_tilde):

@@ -35,17 +35,25 @@ class FDReport:
     nodes: np.ndarray
     analytic: np.ndarray
     fd: np.ndarray
-    rel_error: np.ndarray
+    rel_error: np.ndarray   # one per probe, NaN where the probe failed
     delta_phi: float
-    invalid: np.ndarray = None
+
+    @property
+    def invalid(self) -> np.ndarray:
+        """Probes whose finite-difference solve failed (``fd`` is NaN)."""
+        return np.isnan(self.fd)
 
     @property
     def max_rel_error(self) -> float:
-        return float(np.max(self.rel_error)) if self.rel_error.size else 0.0
+        """Largest error over the valid probes; NaN when there are none."""
+        valid = self.rel_error[~self.invalid]
+        return float(np.max(valid)) if valid.size else np.nan
 
     @property
     def mean_rel_error(self) -> float:
-        return float(np.mean(self.rel_error)) if self.rel_error.size else 0.0
+        """Mean error over the valid probes; NaN when there are none."""
+        valid = self.rel_error[~self.invalid]
+        return float(np.mean(valid)) if valid.size else np.nan
 
 
 def relative_error(a, b, floor: float = ERROR_FLOOR):
@@ -116,19 +124,15 @@ def compare_sensitivities(problem: Problem, nodes, n_steps: int,
     analytic_v = -solid_sensitivity(adjoints)[nodes]
 
     fd_v = np.empty(nodes.size)
-    invalid = np.zeros(nodes.size, dtype=bool)
     for i, node in enumerate(nodes):
         try:
             fd_v[i] = fd_sensitivity(problem, int(node), delta_phi, n_steps,
                                      du_per_step, settings, phi=base)
         except Exception:
-            fd_v[i] = np.nan
-            invalid[i] = True
-    ok = ~invalid
-    rel = np.full(nodes.size, np.nan)
-    rel[ok] = relative_error(analytic_v[ok], fd_v[ok])
+            fd_v[i] = np.nan   # a failed probe (FDReport.invalid)
     return FDReport(nodes=nodes, analytic=analytic_v, fd=fd_v,
-                    rel_error=rel[ok], delta_phi=delta_phi, invalid=invalid)
+                    rel_error=relative_error(analytic_v, fd_v),
+                    delta_phi=delta_phi)
 
 
 def interior_solid_nodes(problem: Problem, phi=None) -> np.ndarray:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,16 @@ def outdir(tmp_path, monkeypatch):
 def test_missing_config_exits_2(outdir, capsys):
     assert cli.main(["forward-only", "does_not_exist.ini"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_bad_config_value_exits_2(outdir, tmp_path, capsys):
+    text = Path(CANTILEVER).read_text().replace("bulk_modulus = 17.3",
+                                                "bulk_modulus = -1")
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert cli.main(["forward-only", str(path)]) == 2
+    assert "config error: [material] bulk_modulus = -1" in \
+        capsys.readouterr().err
 
 
 def test_bad_arguments_exit_2():

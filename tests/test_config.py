@@ -1,3 +1,4 @@
+import re
 import textwrap
 
 import numpy as np
@@ -5,6 +6,10 @@ import pytest
 
 from fractop.config import ConfigError, build_problem, load_config, \
     optimization_settings
+from fractop.forward import SolverSettings
+from fractop.levelset import TopoParams
+from fractop.material import MaterialParams
+from fractop.optimizer import OptimizationSettings
 
 BASE = """
 [mesh]
@@ -62,9 +67,9 @@ class TestLoadConfig:
         assert cfg.topo.l_phi == 1e-2
         assert cfg.topo.tau_phi == 1e-4
         assert cfg.topo.l_delta == 5.0
-        assert cfg.theta_v == 0.05
-        assert cfg.r_min == pytest.approx(3 * 0.18)
-        assert cfg.formulation == 2
+        assert cfg.optimization.theta_v == 0.05
+        assert cfg.optimization.r_min == pytest.approx(3 * 0.18)
+        assert cfg.optimization.formulation == 2
 
     def test_sigma_c_converted_through_youngs_modulus(self, tmp_path):
         cfg = load_config(write(tmp_path, fracture="sigma_c = 10.0"))
@@ -119,6 +124,79 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="steps"):
             load_config(path)
 
+    @pytest.mark.parametrize("section, line", [
+        ("material", "bulk_modulus = -1"),
+        ("material", "bulk_modulus = soft"),
+        ("material", "kappa = 1.5"),
+        ("fracture", "viscosity = -1"),
+        ("fracture", "length_scale = 0"),
+        ("fracture", "psi_c = 0"),
+        ("fracture", "sigma_c = -2"),
+        ("topology", "tau_phi = 0"),
+        ("topology", "target_volume = 1.5"),
+        ("topology", "formulation = 1.9"),
+        ("topology", "max_iterations = many"),
+        ("topology", "r_min = -1"),
+        ("loading", "steps = three"),
+        ("loading", "body_force = 0 x"),
+        ("loading", "support1_box = 0 0 0 one"),
+        ("mesh", "counts = 10 x"),
+        ("mesh", "dimension = 2.5"),
+        ("solver", "newton_max_iter = 2.5"),
+        ("solver", "stagger_max_iter = 0"),
+        ("output", "snapshot_cadence = often"),
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, section, line):
+        # every malformed or out-of-range value is a ConfigError that
+        # names the key, never a bare ValueError from the dataclasses
+        key = line.split("=")[0].strip()
+        text = BASE.format(fracture="psi_c = 13.0", material_extra="")
+        if key == "sigma_c":   # one threshold source only
+            text = text.replace("psi_c = 13.0\n", "")
+        if re.search(rf"^{key} = ", text, flags=re.M):
+            text = re.sub(rf"^{key} = .*$", line, text, flags=re.M)
+        elif f"[{section}]" in text:
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        else:
+            text += f"\n[{section}]\n{line}\n"
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {line}")):
+            load_config(path)
+
+    def test_omitted_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "minimal.ini"
+        path.write_text(textwrap.dedent("""
+            [mesh]
+            dimension = 2
+            counts = 2 1
+            extents = 2.0 1.0
+            [material]
+            bulk_modulus = 10.0
+            shear_modulus = 5.0
+            [fracture]
+            psi_c = 1.0
+            length_scale = 0.5
+            [loading]
+            support1_box = 0 0 0 1
+            support1_dofs = x
+            load_box = 2 2 0 1
+            load_dofs = x
+            displacement_per_step = 1e-3
+            steps = 2
+            """))
+        cfg = load_config(path)
+        assert cfg.material == MaterialParams(
+            bulk_modulus=10.0, shear_modulus=5.0, psi_c=1.0, l_f=0.5)
+        assert cfg.topo == TopoParams()
+        assert cfg.solver == SolverSettings()
+        # the two defaults no dataclass holds
+        assert optimization_settings(cfg) == OptimizationSettings(
+            target_volume=1.0, r_min=3 * 0.5, n_steps=2, du_per_step=1e-3)
+        assert cfg.body_force is None
+        assert cfg.output_dir == "out"
+        assert cfg.snapshot_cadence == 0
+
 
 class TestBuildProblem:
     def test_regions_tagged_and_constraints_built(self, tmp_path):
@@ -132,12 +210,21 @@ class TestBuildProblem:
         assert prob.driven_dofs.size == 3
         assert prob.prescribed_dofs.size == 9
 
+    def test_empty_mesh_is_a_config_error(self, tmp_path):
+        text = BASE.format(fracture="psi_c = 13.0", material_extra="")
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace("counts = 4 2", "counts = 0 2"))
+        with pytest.raises(ConfigError, match=r"\[mesh\] element counts"):
+            build_problem(load_config(path))
+
     def test_optimization_settings_passthrough(self, tmp_path):
         cfg = load_config(write(
             tmp_path,
             extra="\n[topology]\ntarget_volume = 0.4\nr_min = 0.9\n"
                   "velocity_cap = 1.5\n"))
         settings = optimization_settings(cfg)
+        assert settings == cfg.optimization
+        assert settings is not cfg.optimization
         assert settings.target_volume == 0.4
         assert settings.r_min == 0.9
         assert settings.velocity_cap == 1.5

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractop import phasefield as pf
+from fractop.material import MaterialParams
 
 
 class TestCrackDensity:
@@ -54,11 +55,6 @@ class TestCriticalPsi:
         psi = pf.critical_psi(g_c=g_c, l_f=l_f)
         assert psi * 8 * l_f * np.sqrt(2.0) / 3.0 == pytest.approx(g_c)
 
-    def test_direct_table_value_bypass(self):
-        # the ductile benchmark provides psi_c = 13 MPa directly
-        constants = pf.FractureConstants(psi_c=13.0, l_f=0.18, zeta=10.0)
-        assert constants.psi_c == 13.0
-
     def test_both_sources_rejected(self):
         with pytest.raises(ValueError):
             pf.critical_psi(sigma_c=1.0, g_c=1.0, e_modulus=1.0, l_f=1.0)
@@ -69,7 +65,8 @@ class TestCriticalPsi:
 
 
 class TestDrivingForce:
-    CONST = pf.FractureConstants(psi_c=2.0, l_f=0.5, zeta=1.0)
+    CONST = MaterialParams(bulk_modulus=1.0, shear_modulus=1.0, psi_c=2.0,
+                           zeta=1.0)
 
     def test_at_threshold(self):
         assert pf.driving_force(2.0, 0.0, self.CONST) == 0.0
@@ -85,7 +82,8 @@ class TestDrivingForce:
         assert pf.driving_force(1.5, 2.5, self.CONST) == pytest.approx(1.0)
 
     def test_zeta_scales(self):
-        c = pf.FractureConstants(psi_c=2.0, l_f=0.5, zeta=10.0)
+        c = MaterialParams(bulk_modulus=1.0, shear_modulus=1.0, psi_c=2.0,
+                           zeta=10.0)
         assert pf.driving_force(4.0, 0.0, c) == pytest.approx(10.0)
 
 

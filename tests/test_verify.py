@@ -218,6 +218,25 @@ class TestCompareSensitivities:
                               delta_phi=1e-4)
         assert rep.max_rel_error == 0.0
 
+    def test_failed_probe_is_nan_and_left_out_of_the_statistics(self):
+        analytic = np.array([1.0, 2.0, 4.0])
+        fd = np.array([1.0, np.nan, 2.0])
+        rep = verify.FDReport(nodes=np.arange(3), analytic=analytic, fd=fd,
+                              rel_error=verify.relative_error(analytic, fd),
+                              delta_phi=1e-4)
+        assert rep.invalid.tolist() == [False, True, False]
+        assert rep.rel_error.size == 3 and np.isnan(rep.rel_error[1])
+        assert rep.mean_rel_error == 0.25
+        assert rep.max_rel_error == 0.5
+
+    def test_all_probes_failed_reads_nan(self):
+        fd = np.full(2, np.nan)
+        rep = verify.FDReport(nodes=np.arange(2), analytic=np.ones(2), fd=fd,
+                              rel_error=verify.relative_error(1.0, fd),
+                              delta_phi=1e-4)
+        assert np.isnan(rep.mean_rel_error)
+        assert np.isnan(rep.max_rel_error)
+
 
 class TestFdTangent:
     def test_elastic_states(self):
