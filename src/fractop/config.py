@@ -5,20 +5,23 @@ against a fixed schema.
 either a settings object of the solvers (``MaterialParams``, ``TopoParams``,
 ``SolverSettings``, ``OptimizationSettings``) or the run-level ``RunConfig``
 and its load ``RegionSpec``.  A key left out of the file takes the default
-that its dataclass declares.  Two defaults belong to the configuration
-itself, because ``OptimizationSettings`` holds none for them:
+that its dataclass declares (``[topology] l_delta`` that of ``Problem``).
+Two defaults belong to the configuration itself, because ``OptimizationSettings`` holds none for them:
 ``r_min = 3 * length_scale`` and ``target_volume = 1``.
 
 Regions are axis-aligned boxes (min/max per axis).  Exactly one of the
 fracture threshold forms (psi_c directly, critical stress, or toughness)
 must be given.  A malformed or out-of-range value raises ``ConfigError``
-naming its key (the command line exits 2).
+naming its key (the command line exits 2).  ``build_problem`` does the
+same for the two checks that need the mesh or the ``Problem``: a region box
+that matches no node and an out-of-range ``l_delta``.
 """
 
 from __future__ import annotations
 
 import configparser
 import re
+import warnings
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -62,6 +65,7 @@ class RunConfig:
     body_force: tuple = None
     output_dir: str = "out"
     snapshot_cadence: int = 0
+    l_delta: float = Problem.l_delta   # checked when the Problem is built
 
 
 def _floats(text: str) -> tuple:
@@ -94,7 +98,7 @@ _SCHEMA = (
     ("topology", "eta_phi", TopoParams, "eta_phi", float),
     ("topology", "l_phi", TopoParams, "l_phi", float),
     ("topology", "tau_phi", TopoParams, "tau_phi", float),
-    ("topology", "l_delta", TopoParams, "l_delta", float),
+    ("topology", "l_delta", RunConfig, "l_delta", float),
     ("topology", "r_min", OptimizationSettings, "r_min", float),
     ("topology", "theta_v", OptimizationSettings, "theta_v", float),
     ("topology", "target_volume", OptimizationSettings, "target_volume",
@@ -271,20 +275,35 @@ def _is_support_key(key: str) -> bool:
 
 
 def build_problem(cfg: RunConfig) -> Problem:
-    """Materialize the mesh, tagged regions and constraints of a config."""
+    """Materialize the mesh, tagged regions and constraints of a config.
+
+    A support or load box that matches no node is a ``ConfigError``."""
     try:
         mesh = build_structured_mesh(cfg.dimension, cfg.counts, cfg.extents)
     except ValueError as err:
         raise ConfigError(f"[mesh] {err}") from err
-    supports = []
-    for i, spec in enumerate(cfg.supports, start=1):
-        name = f"support{i}"
-        tag_box(mesh, _pairs(spec.box, cfg.dimension), name)
-        supports.append((name, spec.components))
-    tag_box(mesh, _pairs(cfg.load.box, cfg.dimension), "load")
-    return Problem(mesh=mesh, params=cfg.material, supports=supports,
-                   driven=("load", cfg.load.components),
-                   body_force=cfg.body_force, l_delta=cfg.topo.l_delta)
+    supports = [(f"support{i}", spec)
+                for i, spec in enumerate(cfg.supports, start=1)]
+    for name, spec in supports + [("load", cfg.load)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # raised below instead
+            tag_box(mesh, _pairs(spec.box, cfg.dimension), name)
+        if mesh.node_sets[name].size == 0:
+            raise ConfigError(f"[loading] {name}_box = {_text(spec.box)}: "
+                              f"the box matches no node")
+    try:
+        return Problem(mesh=mesh, params=cfg.material,
+                       supports=[(name, spec.components)
+                                 for name, spec in supports],
+                       driven=("load", cfg.load.components),
+                       body_force=cfg.body_force, l_delta=cfg.l_delta)
+    except ValueError as err:
+        raise ConfigError(f"[topology] l_delta = {_text([cfg.l_delta])}: "
+                          f"{err}") from err
+
+
+def _text(values) -> str:
+    return " ".join(f"{v:g}" for v in values)
 
 
 def optimization_settings(cfg: RunConfig) -> OptimizationSettings:

@@ -4,7 +4,9 @@ runs that record the trajectory consumed by the adjoint sweep.
 
 Displacement control only: Dirichlet conditions are handled by row/column
 elimination and reactions are recovered from the eliminated rows of the
-internal force vector.
+internal force vector.  The grid layout is the mesh's: the assemblies
+scatter through ``Mesh.elem_udofs`` and map the rows of B to tensor Voigt
+slots through ``Mesh.voigt_rows``.
 
 The two forward systems, K_uu on the free DOFs (Newton) and K_dd (crack
 solve), are symmetric positive definite.  They are assembled straight into
@@ -144,7 +146,7 @@ class Problem:
     supports: list
     driven: tuple
     body_force: np.ndarray = None
-    l_delta: float = 5.0
+    l_delta: float = 5.0        # width of the regularized Heaviside and Dirac
     regularized: bool = False   # logistic Heaviside in f(phi), FD arm only
 
     prescribed_dofs: np.ndarray = field(init=False)
@@ -152,6 +154,8 @@ class Problem:
     free_dofs: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if not self.l_delta > 0:
+            raise ValueError("l_delta must be positive")
         mesh = self.mesh
         pres = []
         for set_name, comps in self.supports:
@@ -189,15 +193,15 @@ class Problem:
     def transition(self, phi_qp) -> np.ndarray:
         """Solid/void transition f(phi) at quadrature points, exact or
         regularized as ``regularized`` picks."""
-        return mat.transition_f(phi_qp, self.params.kappa, self.regularized,
-                                self.l_delta)
+        return mat.transition_f(phi_qp, self.params.kappa,
+                                self.l_delta if self.regularized else None)
 
     @cached_property
     def uu_band(self) -> "BandPattern":
         """Band pattern of K_uu on the free DOFs, built on first use."""
         dofs = self.mesh.udofs_of(_structured_node_order(self.mesh))
         return _band_pattern(dofs[np.isin(dofs, self.free_dofs)],
-                             self.mesh.n_udof, _scatter_udofs(self.mesh))
+                             self.mesh.n_udof, self.mesh.elem_udofs)
 
     @cached_property
     def dd_band(self) -> "BandPattern":
@@ -217,20 +221,11 @@ class Problem:
 # ---------------------------------------------------------------------------
 
 def strain_tensor6(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """Quadrature-point strain in tensor Voigt form (plane strain in 2D)."""
-    ue = u.reshape(mesh.n_nodes, mesh.dimension)[mesh.conn]
-    ue = ue.reshape(mesh.n_elems, -1)
-    eng = np.einsum("eqsi,ei->eqs", mesh.b_u, ue)
+    """Quadrature-point strain in tensor Voigt form (plane strain in 2D):
+    the engineering rows at their ``Mesh.voigt_rows`` slots, shear halved."""
+    eng = np.einsum("eqsi,ei->eqs", mesh.b_u, u[mesh.elem_udofs])
     out = np.zeros(eng.shape[:2] + (6,))
-    if mesh.dimension == 2:
-        out[..., 0] = eng[..., 0]
-        out[..., 1] = eng[..., 1]
-        out[..., 5] = 0.5 * eng[..., 2]
-    else:
-        out[..., :3] = eng[..., :3]
-        out[..., 3] = 0.5 * eng[..., 3]
-        out[..., 4] = 0.5 * eng[..., 4]
-        out[..., 5] = 0.5 * eng[..., 5]
+    out[..., mesh.voigt_rows] = eng * np.where(mesh.voigt_rows < 3, 1.0, 0.5)
     return out
 
 
@@ -261,16 +256,6 @@ def tentative_history(problem: Problem, result, qstate_prev):
 # assembly
 # ---------------------------------------------------------------------------
 
-def _scatter_udofs(mesh: Mesh):
-    dofs = (mesh.conn[:, :, None] * mesh.dimension
-            + np.arange(mesh.dimension)[None, None, :])
-    return dofs.reshape(mesh.n_elems, -1)
-
-
-def _voigt_rows(dim: int):
-    return [0, 1, 5] if dim == 2 else [0, 1, 2, 3, 4, 5]
-
-
 @dataclass(frozen=True)
 class ElementOperators:
     """Quadrature-point products of shape functions and strain operators;
@@ -291,10 +276,9 @@ class ElementOperators:
 
 
 def _element_operators(mesh: Mesh) -> ElementOperators:
-    dim = mesh.dimension
-    rows = _voigt_rows(dim)
+    rows = mesh.voigt_rows
     b_u = mesh.b_u
-    m = b_u[:, :, :dim].sum(axis=2)
+    m = b_u[:, :, :mesh.dimension].sum(axis=2)
     mm = m[..., :, None] * m[..., None, :]
     pdev = np.einsum("eqsi,st,eqtj->eqij", b_u, mat._P_DEV[np.ix_(rows, rows)],
                      b_u, optimize=True)
@@ -406,8 +390,8 @@ def assemble_ru(problem: Problem, fields: FieldSet, result: mat.StressResult):
 
 def _ru_residual(problem: Problem, result: mat.StressResult):
     mesh = problem.mesh
-    sig = result.sigma[..., _voigt_rows(mesh.dimension)]
-    edofs = _scatter_udofs(mesh)
+    sig = result.sigma[..., mesh.voigt_rows]
+    edofs = mesh.elem_udofs
     fe = np.einsum("eqsi,eqs,eq->ei", mesh.b_u, sig, mesh.w_detj)
     residual = np.zeros(mesh.n_udof)
     np.add.at(residual, edofs, fe)
@@ -432,7 +416,7 @@ def _kuu_blocks(problem: Problem, result: mat.StressResult):
     # the radial-return term lives only on elements with a plastic point
     plastic = np.flatnonzero(np.any(c != 0.0, axis=1))
     if plastic.size:
-        nhat = result.nhat[plastic][..., _voigt_rows(mesh.dimension)]
+        nhat = result.nhat[plastic][..., mesh.voigt_rows]
         v = np.einsum("eqsi,eqs->eqi", mesh.b_u[plastic], nhat)
         blocks[plastic] += np.einsum("eq,eqi,eqj->eij", (w * c)[plastic],
                                      v, v)
@@ -441,7 +425,7 @@ def _kuu_blocks(problem: Problem, result: mat.StressResult):
 
 def _kuu(problem: Problem, result: mat.StressResult):
     mesh = problem.mesh
-    edofs = _scatter_udofs(mesh)
+    edofs = mesh.elem_udofs
     return _element_csr(edofs, edofs, _kuu_blocks(problem, result),
                         (mesh.n_udof, mesh.n_udof))
 
@@ -513,10 +497,9 @@ def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
     mesh = problem.mesh
     p = problem.params
     kappa = p.kappa
-    rows = _voigt_rows(mesh.dimension)
+    rows = mesh.voigt_rows
     fphi = result.fphi
-
-    edofs = _scatter_udofs(mesh)
+    edofs = mesh.elem_udofs
 
     # K_ud: d sigma / d d = f(phi) g'(d) sigma+_eff
     gprime = -2.0 * (1.0 - kappa) * (1.0 - d_qp)

@@ -26,10 +26,9 @@ class TopoParams:
     eta_phi: float = 1.0
     l_phi: float = 1e-2
     tau_phi: float = 1e-4
-    l_delta: float = 5.0
 
     def __post_init__(self):
-        for name in ("eta_phi", "l_phi", "tau_phi", "l_delta"):
+        for name in ("eta_phi", "l_phi", "tau_phi"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -39,14 +38,12 @@ def heaviside_exact(phi):
     return np.where(np.asarray(phi, dtype=float) >= 0.0, 1.0, 0.0)
 
 
-def dirac_regularized(phi, l_delta: float = 5.0):
+def dirac_regularized(phi, l_delta: float):
     """Logistic approximation of the interface Dirac delta.
 
     delta(phi) = l e^{-l phi} / (1 + e^{-l phi})^2, evaluated through |phi|
     so large arguments of either sign cannot overflow.
     """
-    if l_delta <= 0:
-        raise ValueError("l_delta must be positive")
     a = np.exp(-l_delta * np.abs(np.asarray(phi, dtype=float)))
     return l_delta * a / (1.0 + a) ** 2
 
@@ -59,7 +56,7 @@ def volume_ratio(mesh: Mesh, phi: np.ndarray) -> float:
 
 
 def dirac_volume_vector(mesh: Mesh, phi: np.ndarray,
-                        l_delta: float = 5.0) -> np.ndarray:
+                        l_delta: float) -> np.ndarray:
     """Nodal assembly of int delta(phi) N_a dx (volume-constraint gradient)."""
     phi_qp = mesh.interpolate(phi)
     w = mesh.w_detj * dirac_regularized(phi_qp, l_delta)

@@ -150,25 +150,25 @@ def degradation_g(d, kappa):
     return (1.0 - kappa) * (1.0 - d) ** 2 + kappa
 
 
-def transition_f(phi, kappa, regularized: bool = False, l_delta: float = 5.0):
+def transition_f(phi, kappa, l_delta: float = None):
     """Solid/void transition f = (1-kappa) H(phi)^2 + kappa.
 
     With the exact (idempotent) Heaviside the quadratic penalty equals the
-    linear form.  ``regularized=True`` swaps in the logistic regularized
-    Heaviside, keeping the square so the slope matches the analytic
-    2 H delta factor; the forward solver picks one of the two per problem
-    (``forward.Problem.transition``), and only the finite-difference arm of
-    the sensitivity check picks the regularized one.
+    linear form.  A width ``l_delta`` swaps in the logistic regularized
+    Heaviside of that width, keeping the square so the slope matches the
+    analytic 2 H delta factor; the forward solver picks one of the two per
+    problem (``forward.Problem.transition``), and only the finite-difference
+    arm of the sensitivity check picks the regularized one.
     """
     phi = np.asarray(phi, dtype=float)
-    if regularized:
+    if l_delta is not None:
         h = heaviside_regularized(phi, l_delta)
     else:
         h = np.where(phi >= 0.0, 1.0, 0.0)
     return (1.0 - kappa) * h ** 2 + kappa
 
 
-def heaviside_regularized(phi, l_delta: float = 5.0):
+def heaviside_regularized(phi, l_delta: float):
     """Logistic smoothing of the exact Heaviside, integral of the
     regularized Dirac."""
     return expit(l_delta * np.asarray(phi, dtype=float))

@@ -1,11 +1,14 @@
 """Structured quadrilateral/hexahedral meshes with isoparametric bilinear
 and trilinear elements.
 
-Node and element numbering is lexicographic (x fastest, then y, then z) so
-generated fixtures and output files are bit-stable between runs.  All field
-assemblies in the package are driven by the geometry arrays precomputed here
-(shape gradients, weighted Jacobian determinants and strain-displacement
-matrices at every quadrature point).
+This is the only module that knows the grid layout, built by one path for
+both dimensions.  Node and element numbering is lexicographic (x fastest,
+then y, then z) so generated fixtures and output files are bit-stable; the
+element corners follow the VTK order of ``_CORNERS_2D``/``_CORNERS_3D``.
+Displacement DOFs are interleaved per node.  Strains are engineering Voigt
+vectors, the normal rows then the ``_SHEAR_PAIRS`` rows that fit the
+dimension: 2D [exx, eyy, gxy], 3D [exx, eyy, ezz, gyz, gxz, gxy].  All field
+assemblies are driven by the arrays precomputed here.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ _CORNERS_2D = np.array(
 _CORNERS_3D = np.array(
     [[-1.0, -1.0, -1.0], [1.0, -1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, -1.0],
      [-1.0, -1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
+_CORNERS = {2: _CORNERS_2D, 3: _CORNERS_3D}
+
+# Engineering shear strains gyz, gxz, gxy: tensor Voigt slot -> axis pair.
+# A dimension keeps the pairs whose axes it has.
+_SHEAR_PAIRS = {3: (1, 2), 4: (0, 2), 5: (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -56,9 +64,9 @@ def shape_values(dimension: int, local_point) -> tuple[np.ndarray, np.ndarray]:
     gradients : (nen, dim) array, rows sum to the zero vector.
     """
     xi = np.asarray(local_point, dtype=float)
-    corners = _CORNERS_2D if dimension == 2 else _CORNERS_3D
-    if dimension not in (2, 3):
+    if dimension not in _CORNERS:
         raise ValueError(f"unsupported dimension {dimension}")
+    corners = _CORNERS[dimension]
     # N_a = prod_k (1 + xi_k * c_ak) / 2^dim
     terms = 1.0 + corners * xi[None, :]          # (nen, dim)
     values = terms.prod(axis=1) / 2.0**dimension
@@ -73,8 +81,10 @@ def shape_values(dimension: int, local_point) -> tuple[np.ndarray, np.ndarray]:
 class Mesh:
     """Conforming structured grid of quads (2D) or hexes (3D).
 
-    The mesh owns precomputed per-element, per-quadrature-point geometry:
-    ``dN_dx`` (physical shape gradients), ``w_detj`` (weight times Jacobian
+    The mesh owns its layout, ``elem_udofs`` (element DOF table) and
+    ``voigt_rows`` (tensor Voigt slot of each engineering strain row), and
+    precomputed per-element, per-quadrature-point geometry: ``dN_dx``
+    (physical shape gradients), ``w_detj`` (weight times Jacobian
     determinant) and ``b_u`` (engineering strain-displacement matrices).
     These arrays are never mutated after construction; named node sets are
     the only post-construction additions.
@@ -92,7 +102,18 @@ class Mesh:
     shape_n: np.ndarray = None    # (nq, nen)
     dn_dx: np.ndarray = None      # (n_elems, nq, nen, dim)
     w_detj: np.ndarray = None     # (n_elems, nq)
-    b_u: np.ndarray = None        # (n_elems, nq, n_strain, nen*dim)
+    b_u: np.ndarray = None        # (n_elems, nq, len(voigt_rows), nen*dim)
+
+    # layout, derived from dimension and conn
+    elem_udofs: np.ndarray = field(init=False)   # (n_elems, nen*dim)
+    voigt_rows: np.ndarray = field(init=False)   # [0, 1, 5] / [0, ..., 5]
+
+    def __post_init__(self):
+        self.elem_udofs = self.udofs_of(self.conn.ravel()).reshape(
+            self.n_elems, -1)
+        shear = [slot for slot, (_, j) in _SHEAR_PAIRS.items()
+                 if j < self.dimension]
+        self.voigt_rows = np.array(list(range(self.dimension)) + shear)
 
     @property
     def n_nodes(self) -> int:
@@ -105,10 +126,6 @@ class Mesh:
     @property
     def nodes_per_elem(self) -> int:
         return self.conn.shape[1]
-
-    @property
-    def n_strain(self) -> int:
-        return 3 if self.dimension == 2 else 6
 
     @property
     def n_udof(self) -> int:
@@ -161,33 +178,17 @@ def build_structured_mesh(dimension: int, counts, extents) -> Mesh:
     axes = [np.linspace(0.0, extents[k], counts[k] + 1) for k in range(dimension)]
     grids = np.meshgrid(*axes, indexing="ij")
     # lexicographic: x fastest
-    coords = np.stack([g.T.ravel() for g in grids], axis=1) \
-        if dimension == 2 else \
-        np.stack([g.transpose(2, 1, 0).ravel() for g in grids], axis=1)
+    coords = np.stack([g.T.ravel() for g in grids], axis=1)
 
-    nx = counts[0]
-    ny = counts[1]
-    npx, npy = nx + 1, ny + 1
-    if dimension == 2:
-        i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        i = i.T.ravel()
-        j = j.T.ravel()
-        n0 = i + j * npx
-        conn = np.stack([n0, n0 + 1, n0 + 1 + npx, n0 + npx], axis=1)
-    else:
-        nz = counts[2]
-        i, j, k = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
-                              indexing="ij")
-        i = i.transpose(2, 1, 0).ravel()
-        j = j.transpose(2, 1, 0).ravel()
-        k = k.transpose(2, 1, 0).ravel()
-        n0 = i + j * npx + k * npx * npy
-        lay = npx * npy
-        bottom = np.stack([n0, n0 + 1, n0 + 1 + npx, n0 + npx], axis=1)
-        conn = np.concatenate([bottom, bottom + lay], axis=1)
+    # element origins in the same order, plus one node offset per corner
+    nodes = np.arange(len(coords)).reshape([c + 1 for c in counts[::-1]])
+    origins = nodes[(slice(-1),) * dimension].ravel()
+    strides = np.cumprod([1] + [c + 1 for c in counts[:-1]])
+    offsets = (_CORNERS[dimension] > 0) @ strides
+    conn = origins[:, None] + offsets[None, :]
 
     mesh = Mesh(dimension=dimension, counts=counts, extents=extents,
-                coords=coords, conn=conn.astype(int))
+                coords=coords, conn=conn)
     _precompute_geometry(mesh)
     return mesh
 
@@ -213,34 +214,21 @@ def _precompute_geometry(mesh: Mesh) -> None:
     dn_dx = np.einsum("qak,eqki->eqai", dn_dxi, jinv)
     w_detj = detj * rule.weights[None, :]
 
-    nstr = mesh.n_strain
-    b_u = np.zeros((mesh.n_elems, nq, nstr, nen * dim))
-    # engineering Voigt rows: 2D [exx, eyy, gxy]; 3D [exx, eyy, ezz, gyz, gxz, gxy]
-    for a in range(nen):
-        dx = dn_dx[:, :, a, 0]
-        dy = dn_dx[:, :, a, 1]
-        if dim == 2:
-            b_u[:, :, 0, 2 * a + 0] = dx
-            b_u[:, :, 1, 2 * a + 1] = dy
-            b_u[:, :, 2, 2 * a + 0] = dy
-            b_u[:, :, 2, 2 * a + 1] = dx
-        else:
-            dz = dn_dx[:, :, a, 2]
-            b_u[:, :, 0, 3 * a + 0] = dx
-            b_u[:, :, 1, 3 * a + 1] = dy
-            b_u[:, :, 2, 3 * a + 2] = dz
-            b_u[:, :, 3, 3 * a + 1] = dz
-            b_u[:, :, 3, 3 * a + 2] = dy
-            b_u[:, :, 4, 3 * a + 0] = dz
-            b_u[:, :, 4, 3 * a + 2] = dx
-            b_u[:, :, 5, 3 * a + 0] = dy
-            b_u[:, :, 5, 3 * a + 1] = dx
+    # b[e, q, row, a, i]: normal rows dN_a/dx_i at component i, shear row
+    # of pair (i, j) dN_a/dx_j at component i and dN_a/dx_i at component j
+    b = np.zeros((mesh.n_elems, nq, len(mesh.voigt_rows), nen, dim))
+    for i in range(dim):
+        b[:, :, i, :, i] = dn_dx[..., i]
+    for row, slot in enumerate(mesh.voigt_rows[dim:], start=dim):
+        i, j = _SHEAR_PAIRS[slot]
+        b[:, :, row, :, i] = dn_dx[..., j]
+        b[:, :, row, :, j] = dn_dx[..., i]
 
     mesh.quad_rule = rule
     mesh.shape_n = shape_n
     mesh.dn_dx = dn_dx
     mesh.w_detj = w_detj
-    mesh.b_u = b_u
+    mesh.b_u = b.reshape(mesh.n_elems, nq, -1, nen * dim)
 
 
 def tag_box(mesh: Mesh, bounds, name: str, tol: float = 1e-9) -> Mesh:

@@ -47,6 +47,15 @@ class OptimizationSettings:
             raise ValueError("formulation must be 1 or 2")
         if not self.r_min > 0:
             raise ValueError("r_min must be positive")
+        if not 0.0 < self.theta_v <= 1.0:
+            raise ValueError("theta_v must lie in (0, 1]")
+        for name in ("volume_tol", "stagnation_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.max_outer_iterations < 1:
+            raise ValueError("max_outer_iterations must be >= 1")
+        if not self.velocity_cap >= 0:
+            raise ValueError("velocity_cap must be >= 0 (0: no cap)")
 
 
 @dataclass
@@ -104,7 +113,7 @@ def bisection_step(problem: Problem, state: OptimizerState,
     lam_l = 1e-8
     lam_u = max(1e8, 1e4 * state.lambda_v)
     pinned = problem.driven_nodes
-    w_dirac = levelset.dirac_volume_vector(mesh, state.phi, topo.l_delta)
+    w_dirac = levelset.dirac_volume_vector(mesh, state.phi, problem.l_delta)
 
     lam = None
     converged = False

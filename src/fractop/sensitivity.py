@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from . import material as mat
 from .forward import (Problem, SolverSettings, Trajectory,
                       assemble_tangent_blocks, constitutive_sweep,
-                      linear_solve, _element_csr, _scatter_udofs, _voigt_rows)
+                      linear_solve, _element_csr)
 from .levelset import dirac_regularized
 
 log = logging.getLogger("fractop")
@@ -68,7 +68,9 @@ def objective_total(trajectory: Trajectory) -> float:
 def residual_phi_derivative(problem: Problem, d, sweep):
     """Explicit partial derivatives dR_u/dPhi and dR_d/dPhi at a committed
     state, from its constitutive sweep (``forward.constitutive_sweep``) and
-    its nodal crack field ``d``.
+    its nodal crack field ``d``.  With ``d`` None only dR_u/dPhi is built
+    and dR_d/dPhi is returned as None: Formulation 1 has no crack adjoint
+    to pair it with.
 
     The Heaviside slope is replaced by the regularized Dirac; plastic
     variables and the crack driving history are held fixed, so only the
@@ -79,14 +81,14 @@ def residual_phi_derivative(problem: Problem, d, sweep):
     mesh = problem.mesh
     p = problem.params
     kappa = p.kappa
-    rows = _voigt_rows(mesh.dimension)
+    rows = mesh.voigt_rows
 
     result, _, phi_qp = sweep
     dfac = (2.0 * (1.0 - kappa)
             * mat.heaviside_regularized(phi_qp, problem.l_delta)
             * dirac_regularized(phi_qp, problem.l_delta))
 
-    edofs = _scatter_udofs(mesh)
+    edofs = mesh.elem_udofs
     ndofe = edofs.shape[1]
     nen = mesh.nodes_per_elem
 
@@ -98,6 +100,8 @@ def residual_phi_derivative(problem: Problem, d, sweep):
                        problem.body_force, mesh.shape_n)
         blk -= fb.reshape(mesh.n_elems, ndofe, nen)
     dru = _element_csr(edofs, mesh.conn, blk, (mesh.n_udof, mesh.n_nodes))
+    if d is None:
+        return dru, None
 
     # crack residual: with the history frozen only the gradient-term
     # transition factor depends on phi
@@ -161,10 +165,11 @@ def adjoint_sweep(problem: Problem, trajectory: Trajectory,
         du = fields.u - trajectory.fields[n - 1].u
         lam_u, lam_d = adjoint_solve(blocks, du, problem, settings,
                                      formulation)
-        dru, drd = residual_phi_derivative(problem, fields.d, sweep)
+        dru, drd = residual_phi_derivative(
+            problem, None if lam_d is None else fields.d, sweep)
         adjoints.append(AdjointState(
             lambda_u=lam_u, g_u=lam_u @ dru, lambda_d=lam_d,
-            g_d=None if lam_d is None else lam_d @ drd))
+            g_d=None if drd is None else lam_d @ drd))
     return adjoints
 
 

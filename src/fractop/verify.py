@@ -79,25 +79,16 @@ def _lagrangian(problem: Problem, phi, n_steps, du_per_step,
 
 def fd_sensitivity(problem: Problem, index: int, delta_phi: float,
                    n_steps: int, du_per_step: float,
-                   settings: SolverSettings = None, phi=None,
-                   mode: str = "node") -> float:
-    """Central difference of the Lagrangian under one nodal (or lumped
-    element) perturbation of the topological field; returns the velocity
-    estimate -dL/dPhi."""
+                   settings: SolverSettings = None, phi=None) -> float:
+    """Central difference of the Lagrangian under a perturbation of the
+    topological field at one node; returns the velocity estimate -dL/dPhi."""
     settings = settings or SolverSettings()
-    mesh = problem.mesh
-    base = np.ones(mesh.n_nodes) if phi is None else np.asarray(phi, float)
-    if mode == "node":
-        sel = np.array([index])
-    elif mode == "element":
-        sel = mesh.conn[index]
-    else:
-        raise ValueError("mode must be 'node' or 'element'")
-
+    base = (np.ones(problem.mesh.n_nodes) if phi is None
+            else np.asarray(phi, float))
     phi_plus = base.copy()
-    phi_plus[sel] += delta_phi
+    phi_plus[index] += delta_phi
     phi_minus = base.copy()
-    phi_minus[sel] -= delta_phi
+    phi_minus[index] -= delta_phi
     l_plus = _lagrangian(problem, phi_plus, n_steps, du_per_step, settings)
     l_minus = _lagrangian(problem, phi_minus, n_steps, du_per_step, settings)
     return -(l_plus - l_minus) / (2.0 * delta_phi)

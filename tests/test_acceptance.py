@@ -224,7 +224,7 @@ def test_criterion_08_bisection_fixed_point(bend_run):
     state = OptimizerState(phi=np.ones(problem.mesh.n_nodes))
     state.expected_volume = 0.97
     topo = TopoParams(eta_phi=cfg.topo.eta_phi, l_phi=cfg.topo.l_phi,
-                      tau_phi=8.0, l_delta=cfg.topo.l_delta)
+                      tau_phi=8.0)
     _, _, diag = bisection_step(problem, state, g_hat, topo, settings)
     assert diag["converged"]
     assert diag["iterations"] <= 60

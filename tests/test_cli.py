@@ -33,6 +33,19 @@ def test_bad_config_value_exits_2(outdir, tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_empty_load_region_exits_2(outdir, tmp_path, capsys):
+    # a load box off the mesh used to run with zero reactions and exit 0
+    text = Path(CANTILEVER).read_text().replace("load_box = 2 2 0.4 0.6",
+                                                "load_box = 5 5 0.4 0.6")
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert cli.main(["forward-only", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [loading] load_box = 5 5 0.4 0.6" in err
+    assert "Warning" not in err
+    assert not (outdir / "curves.csv").exists()
+
+
 def test_bad_arguments_exit_2():
     assert cli.main(["no-such-command"]) == 2
 

@@ -66,7 +66,7 @@ class TestLoadConfig:
         assert cfg.topo.eta_phi == 1.0
         assert cfg.topo.l_phi == 1e-2
         assert cfg.topo.tau_phi == 1e-4
-        assert cfg.topo.l_delta == 5.0
+        assert build_problem(cfg).l_delta == 5.0
         assert cfg.optimization.theta_v == 0.05
         assert cfg.optimization.r_min == pytest.approx(3 * 0.18)
         assert cfg.optimization.formulation == 2
@@ -137,9 +137,18 @@ class TestLoadConfig:
         ("topology", "formulation = 1.9"),
         ("topology", "max_iterations = many"),
         ("topology", "r_min = -1"),
+        ("topology", "l_delta = 0"),
+        ("topology", "theta_v = 0"),
+        ("topology", "theta_v = 1.5"),
+        ("topology", "volume_tol = 0"),
+        ("topology", "stagnation_tol = -1e-4"),
+        ("topology", "max_iterations = 0"),
+        ("topology", "velocity_cap = -1"),
         ("loading", "steps = three"),
         ("loading", "body_force = 0 x"),
         ("loading", "support1_box = 0 0 0 one"),
+        ("loading", "support1_box = 0 0 2 3"),
+        ("loading", "load_box = 3 4 0 1"),
         ("mesh", "counts = 10 x"),
         ("mesh", "dimension = 2.5"),
         ("solver", "newton_max_iter = 2.5"),
@@ -148,7 +157,9 @@ class TestLoadConfig:
     ])
     def test_bad_value_names_its_key(self, tmp_path, section, line):
         # every malformed or out-of-range value is a ConfigError that
-        # names the key, never a bare ValueError from the dataclasses
+        # names the key, never a bare ValueError from the dataclasses;
+        # l_delta and boxes that match no node are checked when the
+        # Problem is built
         key = line.split("=")[0].strip()
         text = BASE.format(fracture="psi_c = 13.0", material_extra="")
         if key == "sigma_c":   # one threshold source only
@@ -162,7 +173,7 @@ class TestLoadConfig:
         path = tmp_path / "bad.ini"
         path.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(f"[{section}] {line}")):
-            load_config(path)
+            build_problem(load_config(path))
 
     def test_omitted_keys_take_the_dataclass_defaults(self, tmp_path):
         path = tmp_path / "minimal.ini"

@@ -534,7 +534,7 @@ class TestElementOperators:
     def test_kuu_matches_bdb_with_full_tangent(self, states, key):
         prob, _, result, _, _, _, _ = states[key]
         mesh = prob.mesh
-        rows = fwd._voigt_rows(mesh.dimension)
+        rows = mesh.voigt_rows
         dmat = result.tangent[..., rows, :][..., :, rows]
         ref = np.einsum("eqsi,eqst,eqtj,eq->eij", mesh.b_u, dmat, mesh.b_u,
                         mesh.w_detj)

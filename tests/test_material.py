@@ -57,8 +57,8 @@ class TestTransition:
     def test_regularized_slope_is_quadratic_chain(self):
         # numerical slope of the regularized transition matches 2 H delta
         phi, h = 0.3, 1e-6
-        fp = mat.transition_f(phi + h, KAPPA, regularized=True)
-        fmn = mat.transition_f(phi - h, KAPPA, regularized=True)
+        fp = mat.transition_f(phi + h, KAPPA, l_delta=5.0)
+        fmn = mat.transition_f(phi - h, KAPPA, l_delta=5.0)
         slope = (fp - fmn) / (2 * h)
         hreg = mat.heaviside_regularized(phi, 5.0)
         from fractop.levelset import dirac_regularized

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractop import mesh as fm
+from fractop.forward import strain_tensor6
 
 
 def test_single_quad_element():
@@ -92,6 +93,36 @@ def test_isoparametric_corners_reproduce_nodes():
             vals, _ = fm.shape_values(2, corners[a])
             mapped = vals @ m.coords[m.conn[e]]
             assert np.allclose(mapped, m.coords[m.conn[e, a]])
+
+
+def test_hexahedron_corners_in_vtk_order():
+    extents = np.array([1.0, 2.0, 3.0])
+    m = fm.build_structured_mesh(3, [1, 1, 1], extents)
+    vtk_hexahedron = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
+                               [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]])
+    assert np.array_equal((fm._CORNERS_3D + 1) / 2, vtk_hexahedron)
+    assert np.array_equal(m.coords[m.conn[0]],
+                          (fm._CORNERS_3D + 1) / 2 * extents)
+
+
+@pytest.mark.parametrize("dim,counts,extents,rows", [
+    (2, [3, 2], [1.5, 2.0], [0, 1, 5]),
+    (3, [2, 3, 2], [1.0, 1.5, 0.5], [0, 1, 2, 3, 4, 5]),
+])
+def test_affine_displacement_gives_symmetric_gradient(dim, counts, extents,
+                                                      rows):
+    # u = G x: every quadrature point sees sym(G), tensor shear components
+    # (half the engineering shear) at the tensor Voigt slots
+    m = fm.build_structured_mesh(dim, counts, extents)
+    assert m.voigt_rows.tolist() == rows
+    assert np.array_equal(m.elem_udofs[-1], m.udofs_of(m.conn[-1]))
+    grad = np.random.default_rng(1).uniform(-1.0, 1.0, (dim, dim))
+    u = (m.coords @ grad.T).ravel()
+    sym = np.zeros((3, 3))
+    sym[:dim, :dim] = 0.5 * (grad + grad.T)
+    voigt = [sym[0, 0], sym[1, 1], sym[2, 2], sym[1, 2], sym[0, 2], sym[0, 1]]
+    eps = strain_tensor6(m, u)
+    assert np.abs(eps - voigt).max() <= 1e-14
 
 
 def test_tag_region_empty_warns():

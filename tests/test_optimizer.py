@@ -78,7 +78,7 @@ class TestBisection:
                                             velocity_cap=0.0)
         state = opt.OptimizerState(phi=np.ones(mesh.n_nodes))
         state.expected_volume = 0.7
-        w = ls.dirac_volume_vector(mesh, state.phi, topo.l_delta)
+        w = ls.dirac_volume_vector(mesh, state.phi, prob.l_delta)
 
         def chi_of(lam):
             v = sens.velocity_from_sensitivity(g_s + lam * w)
