@@ -30,6 +30,18 @@ from .optimizer import run_optimization
 log = logging.getLogger("fractop")
 
 
+def _positive(text: str) -> float:
+    """argparse type of a finite positive number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite "
+                                         f"positive number")
+    return value
+
+
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fractop",
@@ -47,9 +59,9 @@ def _make_parser() -> argparse.ArgumentParser:
                            help="finite-difference sensitivity check")
     p_ver.add_argument("config")
     p_ver.add_argument("--formulation", type=int, choices=(1, 2), default=1)
-    p_ver.add_argument("--delta", type=float, default=1e-4)
+    p_ver.add_argument("--delta", type=_positive, default=1e-4)
     p_ver.add_argument("--max-probes", type=int, default=64)
-    p_ver.add_argument("--tolerance", type=float, default=1e-2,
+    p_ver.add_argument("--tolerance", type=_positive, default=1e-2,
                        help="mean relative error pass threshold")
     return parser
 

@@ -4,9 +4,10 @@ runs that record the trajectory consumed by the adjoint sweep.
 
 Displacement control only: Dirichlet conditions are handled by row/column
 elimination and reactions are recovered from the eliminated rows of the
-internal force vector.  The grid layout is the mesh's: the assemblies
-scatter through ``Mesh.elem_udofs`` and map the rows of B to tensor Voigt
-slots through ``Mesh.voigt_rows``.
+internal force vector.  The grid layout is the mesh's: element arrays are
+summed into global vectors and matrices by ``Mesh.scatter`` and
+``Mesh.assemble``, and the rows of B map to tensor Voigt slots through
+``Mesh.voigt_rows``.
 
 The two forward systems, K_uu on the free DOFs (Newton) and K_dd (crack
 solve), are symmetric positive definite.  They are assembled straight into
@@ -45,7 +46,7 @@ from scipy.sparse.linalg import spsolve
 from . import material as mat
 from . import phasefield as pf
 from .material import MaterialParams, QuadState
-from .mesh import Mesh
+from .mesh import Mesh, element_pairs
 
 log = logging.getLogger("fractop")
 
@@ -114,7 +115,6 @@ class Trajectory:
     load_factor: list = field(default_factory=list)  # prescribed displacement
     reaction: list = field(default_factory=list)     # summed driven reactions
     stats: list = field(default_factory=list)        # StepStats per step
-    complete: bool = True
 
     @property
     def n_steps(self) -> int:
@@ -290,21 +290,6 @@ def _element_operators(mesh: Mesh) -> ElementOperators:
                                                        ndofe * ndofe))
 
 
-def _element_pairs(row_idx, col_idx):
-    """Global row ``row_idx[e, a]`` and column ``col_idx[e, b]`` of every
-    entry ``[e, a, b]`` of the flattened element blocks."""
-    rows = np.repeat(row_idx, col_idx.shape[1], axis=1).ravel()
-    cols = np.tile(col_idx, (1, row_idx.shape[1])).ravel()
-    return rows, cols
-
-
-def _element_csr(row_idx, col_idx, blocks, shape) -> sp.csr_matrix:
-    """Sum the element blocks ``blocks[e, a, b]`` into a CSR matrix at rows
-    ``row_idx[e, a]`` and columns ``col_idx[e, b]``."""
-    return sp.coo_matrix((blocks.ravel(), _element_pairs(row_idx, col_idx)),
-                         shape=shape).tocsr()
-
-
 def _structured_node_order(mesh: Mesh) -> np.ndarray:
     """Nodes sorted by coordinate, the axis with the most elements slowest
     and the one with the fewest fastest (ties keep the mesh's own order).
@@ -337,7 +322,7 @@ class BandPattern:
         """Lower band, shape ``(bandwidth + 1, n)``, of the matrix the
         element ``blocks`` sum to; its entry ``[i - j, j]`` is ``A[i, j]``.
         Only the lower triangle is read, so the matrix is taken symmetric.
-        Each entry equals, bit for bit, the one ``_element_csr`` sums from
+        Each entry equals, bit for bit, the one ``Mesh.assemble`` sums from
         the same blocks."""
         n = self.order.size
         band = np.bincount(self.slots,
@@ -363,9 +348,9 @@ def _band_pattern(order, n_global, element_idx) -> BandPattern:
     indices ``element_idx[e, a]``, restricted and permuted to ``order``.
 
     The kept entries are listed in the order ``tocsr`` sums them, so the
-    band repeats the CSR values (and so the rounding) of ``_element_csr``.
+    band repeats the CSR values (and so the rounding) of ``Mesh.assemble``.
     """
-    rows, cols = _element_pairs(element_idx, element_idx)
+    rows, cols = element_pairs(element_idx, element_idx)
     summation = _csr_summation_order(rows, cols, n_global)
     position = np.full(n_global, -1)
     position[order] = np.arange(order.size)
@@ -379,28 +364,17 @@ def _band_pattern(order, n_global, element_idx) -> BandPattern:
                        bandwidth=band_width - 1)
 
 
-def assemble_ru(problem: Problem, fields: FieldSet, result: mat.StressResult):
-    """Internal-minus-external force and consistent stiffness for u.
-
-    Returns the full residual vector (prescribed rows carry the reaction
-    forces) and K_uu in CSR form.
-    """
-    return _ru_residual(problem, result), _kuu(problem, result)
-
-
-def _ru_residual(problem: Problem, result: mat.StressResult):
+def assemble_ru(problem: Problem, result: mat.StressResult):
+    """Internal-minus-external force of the displacement field: the full
+    residual vector, whose prescribed rows carry the reaction forces."""
     mesh = problem.mesh
     sig = result.sigma[..., mesh.voigt_rows]
-    edofs = mesh.elem_udofs
     fe = np.einsum("eqsi,eqs,eq->ei", mesh.b_u, sig, mesh.w_detj)
-    residual = np.zeros(mesh.n_udof)
-    np.add.at(residual, edofs, fe)
-
-    if problem.body_force is not None:
-        w = mesh.w_detj * result.fphi
-        fb = np.einsum("eq,qa,c->eac", w, mesh.shape_n, problem.body_force)
-        np.add.at(residual, edofs, -fb.reshape(mesh.n_elems, -1))
-    return residual
+    if problem.body_force is None:
+        return mesh.scatter(fe)
+    w = mesh.w_detj * result.fphi
+    fb = np.einsum("eq,qa,c->eac", w, mesh.shape_n, problem.body_force)
+    return mesh.scatter(fe, -fb.reshape(mesh.n_elems, -1))
 
 
 def _kuu_blocks(problem: Problem, result: mat.StressResult):
@@ -423,34 +397,18 @@ def _kuu_blocks(problem: Problem, result: mat.StressResult):
     return blocks
 
 
-def _kuu(problem: Problem, result: mat.StressResult):
-    mesh = problem.mesh
-    edofs = mesh.elem_udofs
-    return _element_csr(edofs, edofs, _kuu_blocks(problem, result),
-                        (mesh.n_udof, mesh.n_udof))
-
-
 def assemble_rd(problem: Problem, d, d_prev, history_qp, phi_qp,
                 settings: SolverSettings):
-    """Crack-field residual and SPD system matrix.
+    """Crack-field residual K_dd d - load, one element block at a time.
 
     Residual form: [(1-kappa)(d-1)H + d + (eta_f/tau_f)(d - d_prev)] N
     + l_f^2 f(phi) grad d . grad N.
     """
-    return (_rd_residual(problem, d, d_prev, history_qp, phi_qp, settings),
-            _kdd(problem, history_qp, phi_qp, settings))
-
-
-def _rd_residual(problem: Problem, d, d_prev, history_qp, phi_qp,
-                 settings: SolverSettings):
-    """Crack-field residual K_dd d - load, one element block at a time."""
     mesh = problem.mesh
     blocks = _kdd_blocks(problem, history_qp, phi_qp, settings)
     contrib = (blocks @ d[mesh.conn][..., None])[..., 0]
     contrib -= _crack_load(problem, d_prev, history_qp, settings)
-    residual = np.zeros(mesh.n_nodes)
-    np.add.at(residual, mesh.conn, contrib)
-    return residual
+    return mesh.scatter(contrib)
 
 
 def _crack_load(problem: Problem, d_prev, history_qp,
@@ -480,11 +438,12 @@ def _kdd_blocks(problem: Problem, history_qp, phi_qp,
     return blocks.reshape(-1, nen, nen)
 
 
-def _kdd(problem: Problem, history_qp, phi_qp, settings: SolverSettings):
-    mesh = problem.mesh
-    blocks = _kdd_blocks(problem, history_qp, phi_qp, settings)
-    return _element_csr(mesh.conn, mesh.conn, blocks,
-                        (mesh.n_nodes, mesh.n_nodes))
+def stress_shape_blocks(mesh: Mesh, s: np.ndarray) -> np.ndarray:
+    """Element blocks (n_elems, ndofe, nen) of sum_q w (B^T s)_i N_a for a
+    quadrature-point field ``s`` in the rows of B: the kernel of K_ud, of
+    K_du (transposed) and of dR_u/dPhi."""
+    return np.einsum("eqsi,eqs,qa,eq->eia", mesh.b_u, s, mesh.shape_n,
+                     mesh.w_detj)
 
 
 def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
@@ -499,14 +458,11 @@ def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
     kappa = p.kappa
     rows = mesh.voigt_rows
     fphi = result.fphi
-    edofs = mesh.elem_udofs
 
     # K_ud: d sigma / d d = f(phi) g'(d) sigma+_eff
     gprime = -2.0 * (1.0 - kappa) * (1.0 - d_qp)
     coef = (fphi * gprime)[..., None] * result.sigma_plus[..., rows]
-    block = np.einsum("eqsi,eqs,qa,eq->eia", mesh.b_u, coef, mesh.shape_n,
-                      mesh.w_detj)
-    k_ud = _element_csr(edofs, mesh.conn, block, (mesh.n_udof, mesh.n_nodes))
+    k_ud = mesh.assemble(stress_shape_blocks(mesh, coef))
 
     # K_du: dR_d/du through the history where the maximum advanced this step;
     # dH/d eps = zeta f / psi_c * sigma+_eff on the active set
@@ -516,9 +472,7 @@ def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
     scale = active * p.zeta * fphi / p.psi_c
     dcoef = (1.0 - kappa) * (d_qp - 1.0)
     sens = (dcoef * scale)[..., None] * result.sigma_plus[..., rows]
-    blk = np.einsum("qa,eqs,eqsj,eq->eaj", mesh.shape_n, sens, mesh.b_u,
-                    mesh.w_detj)
-    k_du = _element_csr(mesh.conn, edofs, blk, (mesh.n_nodes, mesh.n_udof))
+    k_du = mesh.assemble(stress_shape_blocks(mesh, sens).transpose(0, 2, 1))
     return k_ud, k_du
 
 
@@ -529,8 +483,9 @@ def assemble_tangent_blocks(problem: Problem, sweep, qstate_prev: QuadState,
     on that state and ``qstate_prev``."""
     result, d_qp, phi_qp = sweep
     history_qp = tentative_history(problem, result, qstate_prev)
-    k_uu = _kuu(problem, result)
-    k_dd = _kdd(problem, history_qp, phi_qp, settings)
+    k_uu = problem.mesh.assemble(_kuu_blocks(problem, result))
+    k_dd = problem.mesh.assemble(_kdd_blocks(problem, history_qp, phi_qp,
+                                             settings))
     k_ud, k_du = assemble_coupling_blocks(problem, result, qstate_prev, d_qp)
     return TangentBlocks(k_uu=k_uu, k_ud=k_ud, k_du=k_du, k_dd=k_dd)
 
@@ -578,9 +533,7 @@ def solve_crack_field(problem: Problem, d_prev, history_qp, phi_qp,
     when the projection changed a value."""
     mesh = problem.mesh
     band = problem.dd_band
-    load = np.zeros(mesh.n_nodes)
-    np.add.at(load, mesh.conn, _crack_load(problem, d_prev, history_qp,
-                                           settings))
+    load = mesh.scatter(_crack_load(problem, d_prev, history_qp, settings))
     k_dd = band.assemble(_kdd_blocks(problem, history_qp, phi_qp, settings))
     d_new = np.empty(mesh.n_nodes)
     d_new[band.order] = linear_solve(k_dd, load[band.order], settings)
@@ -610,7 +563,7 @@ def newton_displacement(problem: Problem, fields: FieldSet,
     for it in range(settings.newton_max_iter + 1):
         result, _, _ = constitutive_sweep(problem, u, fields.d, fields.phi,
                                           qstate_prev)
-        residual = _ru_residual(problem, result)
+        residual = assemble_ru(problem, result)
         rnorm = np.linalg.norm(residual[free]) if free.size else 0.0
         if ref is None:
             ref = max(rnorm, settings.newton_tol_abs)
@@ -672,8 +625,8 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
         # contribute only their feasible-direction (projected) residual.
         # The history also drives the next pass's crack solve.
         history_qp = tentative_history(problem, result, qstate_prev)
-        rd = _rd_residual(problem, fields.d, fields_prev.d, history_qp,
-                          phi_qp, settings)
+        rd = assemble_rd(problem, fields.d, fields_prev.d, history_qp,
+                         phi_qp, settings)
         rd[(fields.d <= fields_prev.d) & (rd > 0.0)] = 0.0
         rd[(fields.d >= 1.0) & (rd < 0.0)] = 0.0
         res = (np.linalg.norm(residual[problem.free_dofs])
@@ -725,7 +678,6 @@ def run_load_history(problem: Problem, n_steps: int, du_per_step: float,
             fields, qstate, stats = staggered_step(
                 problem, fields, qstate, load, settings)
         except SolverError as err:
-            traj.complete = False
             err.partial_trajectory = traj
             raise
         reaction = float(fields.p_u[problem.driven_dofs].sum())

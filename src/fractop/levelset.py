@@ -1,6 +1,6 @@
-"""Geometry projection of the topological field (exact Heaviside, regularized
-Dirac), volume measures and the reaction-diffusion update of the level-set
-surface.
+"""Geometry projection of the topological field (exact and regularized
+Heaviside, regularized Dirac), volume measures and the reaction-diffusion
+update of the level-set surface.
 
 The field is held at mesh nodes in [-1, 1]; material occupies {phi >= 0}.
 The Heaviside is evaluated at quadrature points from the interpolated field,
@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.special import expit
 from scipy.sparse.linalg import spsolve
 
-from .forward import _element_csr
 from .mesh import Mesh
 
 
@@ -36,6 +35,12 @@ class TopoParams:
 def heaviside_exact(phi):
     """Binary projection: 1 for phi >= 0, else 0."""
     return np.where(np.asarray(phi, dtype=float) >= 0.0, 1.0, 0.0)
+
+
+def heaviside_regularized(phi, l_delta: float):
+    """Logistic smoothing of the exact Heaviside, integral of the
+    regularized Dirac."""
+    return expit(l_delta * np.asarray(phi, dtype=float))
 
 
 def dirac_regularized(phi, l_delta: float):
@@ -60,53 +65,35 @@ def dirac_volume_vector(mesh: Mesh, phi: np.ndarray,
     """Nodal assembly of int delta(phi) N_a dx (volume-constraint gradient)."""
     phi_qp = mesh.interpolate(phi)
     w = mesh.w_detj * dirac_regularized(phi_qp, l_delta)
-    contrib = np.einsum("eq,qa->ea", w, mesh.shape_n)
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.conn, contrib)
-    return out
-
-
-def _mass_matrix(mesh: Mesh) -> sp.csr_matrix:
-    me = np.einsum("eq,qa,qb->eab", mesh.w_detj, mesh.shape_n, mesh.shape_n)
-    return _element_csr(mesh.conn, mesh.conn, me,
-                        (mesh.n_nodes, mesh.n_nodes))
-
-
-def _laplace_matrix(mesh: Mesh) -> sp.csr_matrix:
-    ke = np.einsum("eq,eqad,eqbd->eab", mesh.w_detj, mesh.dn_dx, mesh.dn_dx)
-    return _element_csr(mesh.conn, mesh.conn, ke,
-                        (mesh.n_nodes, mesh.n_nodes))
+    return mesh.scatter(np.einsum("eq,qa->ea", w, mesh.shape_n))
 
 
 def solve_reaction_diffusion(mesh: Mesh, phi_m: np.ndarray,
                              velocity: np.ndarray, params: TopoParams,
-                             pinned_nodes=None) -> np.ndarray:
+                             pinned_nodes=()) -> np.ndarray:
     """One implicit pseudo-time step of the level-set evolution.
 
     Solves the weak form
         int [ (v - eta/tau (phi - phi_m)) dphi - l^2 grad phi . grad dphi ] dx = 0
-    with homogeneous Neumann sides, ``phi = 1`` pinned on the loaded region
-    and the result clamped to [-1, 1].
+    with homogeneous Neumann sides, ``phi = 1`` pinned on ``pinned_nodes``
+    (the loaded region) and the result clamped to [-1, 1].  The mass and
+    Laplace matrices are the mesh's cached ones.
     """
     velocity = np.asarray(velocity, dtype=float)
     if not np.all(np.isfinite(velocity)):
         raise FloatingPointError("non-finite velocity field")
-    mass = _mass_matrix(mesh)
-    lap = _laplace_matrix(mesh)
+    mass = mesh.mass_matrix
     coef = params.eta_phi / params.tau_phi
-    lhs = (coef * mass + params.l_phi ** 2 * lap).tocsr()
+    lhs = (coef * mass + params.l_phi ** 2 * mesh.laplace_matrix).tocsr()
     rhs = mass @ (velocity + coef * phi_m)
 
+    pinned = np.asarray(pinned_nodes, dtype=int)
+    free = np.setdiff1d(np.arange(mesh.n_nodes), pinned)
     phi = np.empty(mesh.n_nodes)
-    if pinned_nodes is not None and len(pinned_nodes) > 0:
-        pinned = np.asarray(pinned_nodes, dtype=int)
-        free = np.setdiff1d(np.arange(mesh.n_nodes), pinned)
-        phi[pinned] = 1.0
-        lhs_f = lhs[free]
-        rhs_f = rhs[free] - lhs_f[:, pinned] @ phi[pinned]
-        phi[free] = spsolve(lhs_f[:, free].tocsc(), rhs_f)
-    else:
-        phi = spsolve(lhs.tocsc(), rhs)
+    phi[pinned] = 1.0
+    lhs_f = lhs[free]
+    rhs_f = rhs[free] - lhs_f[:, pinned] @ phi[pinned]
+    phi[free] = spsolve(lhs_f[:, free].tocsc(), rhs_f)
     if not np.all(np.isfinite(phi)):
         raise RuntimeError("reaction-diffusion solve produced non-finite field")
     return np.clip(phi, -1.0, 1.0)

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
+
+from .levelset import heaviside_exact, heaviside_regularized
 
 # double-contraction weights for tensor Voigt storage
 VOIGT_WEIGHT = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
@@ -97,7 +98,6 @@ class StressResult:
 
     sigma: np.ndarray        # (..., 6) degraded stress
     psi_plus: np.ndarray     # (...) effective damageable energy
-    psi_minus: np.ndarray    # (...) effective undamageable energy
     new_state: QuadState
     sigma_eff: np.ndarray = None   # (..., 6) g(d)*sigma+~ + sigma-~ (no f)
     sigma_plus: np.ndarray = None  # (..., 6) effective damageable stress
@@ -160,18 +160,9 @@ def transition_f(phi, kappa, l_delta: float = None):
     problem (``forward.Problem.transition``), and only the finite-difference
     arm of the sensitivity check picks the regularized one.
     """
-    phi = np.asarray(phi, dtype=float)
-    if l_delta is not None:
-        h = heaviside_regularized(phi, l_delta)
-    else:
-        h = np.where(phi >= 0.0, 1.0, 0.0)
+    h = (heaviside_exact(phi) if l_delta is None
+         else heaviside_regularized(phi, l_delta))
     return (1.0 - kappa) * h ** 2 + kappa
-
-
-def heaviside_regularized(phi, l_delta: float):
-    """Logistic smoothing of the exact Heaviside, integral of the
-    regularized Dirac."""
-    return expit(l_delta * np.asarray(phi, dtype=float))
 
 
 def energy_split(eps_e: np.ndarray, params: MaterialParams):
@@ -246,13 +237,12 @@ def return_map(eps_total: np.ndarray, state_n: QuadState, d, phi,
     sigma_eff = gd[..., None] * sig_plus + sig_minus
     sigma = fphi[..., None] * sigma_eff
 
-    psi_plus, psi_minus = energy_split(eps_e, params)
+    psi_plus, _ = energy_split(eps_e, params)
     psi_p = 0.5 * h * alpha ** 2
 
     new_state = QuadState(eps_p=eps_p, alpha=alpha,
                           history=state_n.history.copy(), lambda_p=dlam)
-    return StressResult(sigma=sigma, psi_plus=psi_plus,
-                        psi_minus=psi_minus, new_state=new_state,
+    return StressResult(sigma=sigma, psi_plus=psi_plus, new_state=new_state,
                         sigma_eff=sigma_eff, sigma_plus=sig_plus, psi_p=psi_p,
                         nhat=nhat, fphi=fphi,
                         tangent_args=(params, fphi, gd, hplus, plastic, dlam,

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 # Reference corner signs.  Ordering matches VTK quad (type 9) / hexahedron
 # (type 12) so connectivity can be written to legacy VTK files unchanged.
@@ -88,6 +90,11 @@ class Mesh:
     determinant) and ``b_u`` (engineering strain-displacement matrices).
     These arrays are never mutated after construction; named node sets are
     the only post-construction additions.
+
+    ``scatter`` and ``assemble`` sum element arrays into global vectors and
+    CSR matrices.  The mesh's own operators, ``mass_matrix`` (int N_a N_b)
+    and ``laplace_matrix`` (int grad N_a . grad N_b), are assembled on first
+    use and cached.
     """
 
     dimension: int
@@ -153,6 +160,48 @@ class Mesh:
     def qp_gradient(self, nodal: np.ndarray) -> np.ndarray:
         """Nodal scalar field -> gradients at quadrature points (n_elems, nq, dim)."""
         return np.einsum("eqad,ea->eqd", self.dn_dx, nodal[self.conn])
+
+    def _element_index(self, width: int):
+        """Global indices and their count for element arrays of ``width``
+        entries: ``conn`` for one per node, ``elem_udofs`` for one per DOF."""
+        if width == self.nodes_per_elem:
+            return self.conn, self.n_nodes
+        return self.elem_udofs, self.n_udof
+
+    def scatter(self, *element_values) -> np.ndarray:
+        """Sum element vectors ``(n_elems, width)`` into one global vector,
+        the arrays added in the order given."""
+        index, size = self._element_index(element_values[0].shape[1])
+        out = np.zeros(size)
+        for values in element_values:
+            np.add.at(out, index, values)
+        return out
+
+    def assemble(self, blocks: np.ndarray) -> sp.csr_matrix:
+        """Sum element blocks ``(n_elems, rows, cols)`` into a CSR matrix;
+        rows and columns each index nodes or DOFs by their width."""
+        row_idx, n_rows = self._element_index(blocks.shape[1])
+        col_idx, n_cols = self._element_index(blocks.shape[2])
+        return sp.coo_matrix((blocks.ravel(), element_pairs(row_idx, col_idx)),
+                             shape=(n_rows, n_cols)).tocsr()
+
+    @cached_property
+    def mass_matrix(self) -> sp.csr_matrix:
+        return self.assemble(np.einsum("eq,qa,qb->eab", self.w_detj,
+                                       self.shape_n, self.shape_n))
+
+    @cached_property
+    def laplace_matrix(self) -> sp.csr_matrix:
+        return self.assemble(np.einsum("eq,eqad,eqbd->eab", self.w_detj,
+                                       self.dn_dx, self.dn_dx))
+
+
+def element_pairs(row_idx, col_idx):
+    """Global row ``row_idx[e, a]`` and column ``col_idx[e, b]`` of every
+    entry ``[e, a, b]`` of the flattened element blocks."""
+    rows = np.repeat(row_idx, col_idx.shape[1], axis=1).ravel()
+    cols = np.tile(col_idx, (1, row_idx.shape[1])).ravel()
+    return rows, cols
 
 
 def build_structured_mesh(dimension: int, counts, extents) -> Mesh:

@@ -25,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import material as mat
 from .forward import (Problem, SolverSettings, Trajectory,
                       assemble_tangent_blocks, constitutive_sweep,
-                      linear_solve, _element_csr)
-from .levelset import dirac_regularized
+                      linear_solve, stress_shape_blocks)
+from .levelset import dirac_regularized, heaviside_regularized
 
 log = logging.getLogger("fractop")
 
@@ -85,21 +84,16 @@ def residual_phi_derivative(problem: Problem, d, sweep):
 
     result, _, phi_qp = sweep
     dfac = (2.0 * (1.0 - kappa)
-            * mat.heaviside_regularized(phi_qp, problem.l_delta)
+            * heaviside_regularized(phi_qp, problem.l_delta)
             * dirac_regularized(phi_qp, problem.l_delta))
 
-    edofs = mesh.elem_udofs
-    ndofe = edofs.shape[1]
-    nen = mesh.nodes_per_elem
-
-    coef = dfac[..., None] * result.sigma_eff[..., rows]
-    blk = np.einsum("eqsi,eqs,qa,eq->eia", mesh.b_u, coef, mesh.shape_n,
-                    mesh.w_detj)
+    blk = stress_shape_blocks(mesh, dfac[..., None]
+                              * result.sigma_eff[..., rows])
     if problem.body_force is not None:
         fb = np.einsum("eq,qb,c,qa->ebca", dfac * mesh.w_detj, mesh.shape_n,
                        problem.body_force, mesh.shape_n)
-        blk -= fb.reshape(mesh.n_elems, ndofe, nen)
-    dru = _element_csr(edofs, mesh.conn, blk, (mesh.n_udof, mesh.n_nodes))
+        blk -= fb.reshape(blk.shape)
+    dru = mesh.assemble(blk)
     if d is None:
         return dru, None
 
@@ -107,10 +101,8 @@ def residual_phi_derivative(problem: Problem, d, sweep):
     # transition factor depends on phi
     grad_d = mesh.qp_gradient(d)
     gradw = mesh.w_detj * p.l_f ** 2 * dfac
-    dblk = np.einsum("eq,eqbd,eqd,qa->eba", gradw, mesh.dn_dx, grad_d,
-                     mesh.shape_n)
-    drd = _element_csr(mesh.conn, mesh.conn, dblk,
-                       (mesh.n_nodes, mesh.n_nodes))
+    drd = mesh.assemble(np.einsum("eq,eqbd,eqd,qa->eba", gradw, mesh.dn_dx,
+                                  grad_d, mesh.shape_n))
     return dru, drd
 
 

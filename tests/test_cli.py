@@ -50,6 +50,18 @@ def test_bad_arguments_exit_2():
     assert cli.main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--delta", "0"), ("--delta", "nan"), ("--delta", "-1e-4"),
+    ("--delta", "inf"), ("--tolerance", "-1"), ("--tolerance", "0"),
+])
+def test_verify_sensitivity_rejects_bad_step_or_tolerance(outdir, capsys,
+                                                           flag, value):
+    # a usage error, not a failed check: nothing runs and nothing is written
+    assert cli.main(["verify-sensitivity", CANTILEVER, f"{flag}={value}"]) == 2
+    assert "not a finite positive number" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_forward_only_writes_curves_and_snapshot(outdir):
     assert cli.main(["forward-only", CANTILEVER]) == 0
     assert (outdir / "curves.csv").exists()

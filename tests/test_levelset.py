@@ -129,6 +129,25 @@ class TestReactionDiffusion:
         free = np.setdiff1d(np.arange(mesh.n_nodes), pinned)
         assert out[free].min() < 0.0
 
+    def test_second_solve_assembles_nothing(self, mesh, monkeypatch):
+        params = ls.TopoParams(tau_phi=1.0)
+        phi = np.ones(mesh.n_nodes)
+        velocity = np.linspace(-1.0, 1.0, mesh.n_nodes)
+        first = ls.solve_reaction_diffusion(mesh, phi, velocity, params)
+        mass, laplace = mesh.mass_matrix, mesh.laplace_matrix
+        calls = []
+        assemble = fm.Mesh.assemble
+
+        def counted(self, blocks):
+            calls.append(blocks.shape)
+            return assemble(self, blocks)
+
+        monkeypatch.setattr(fm.Mesh, "assemble", counted)
+        again = ls.solve_reaction_diffusion(mesh, phi, velocity, params)
+        assert calls == []
+        assert mesh.mass_matrix is mass and mesh.laplace_matrix is laplace
+        assert np.array_equal(again, first)
+
     def test_nonfinite_velocity_rejected(self, mesh):
         with pytest.raises(FloatingPointError):
             ls.solve_reaction_diffusion(mesh, np.ones(mesh.n_nodes),

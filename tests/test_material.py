@@ -60,8 +60,8 @@ class TestTransition:
         fp = mat.transition_f(phi + h, KAPPA, l_delta=5.0)
         fmn = mat.transition_f(phi - h, KAPPA, l_delta=5.0)
         slope = (fp - fmn) / (2 * h)
-        hreg = mat.heaviside_regularized(phi, 5.0)
-        from fractop.levelset import dirac_regularized
+        from fractop.levelset import dirac_regularized, heaviside_regularized
+        hreg = heaviside_regularized(phi, 5.0)
         expected = (1 - KAPPA) * 2.0 * hreg * dirac_regularized(phi, 5.0)
         assert slope == pytest.approx(expected, rel=1e-6)
 

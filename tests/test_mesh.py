@@ -153,3 +153,51 @@ def test_tag_loaded_band_on_beam_top():
 def test_positive_jacobians_cached():
     m = fm.build_structured_mesh(3, [2, 2, 2], [1.0, 1.0, 1.0])
     assert np.all(m.w_detj > 0.0)
+
+
+@pytest.mark.parametrize("dim,counts", [(2, [3, 2]), (3, [2, 1, 2])])
+def test_scatter_and_assemble_match_a_dense_element_loop(dim, counts):
+    # node x node, DOF x DOF, DOF x node and node x DOF blocks, each against
+    # a plain per-element sum
+    m = fm.build_structured_mesh(dim, counts, [1.0] * dim)
+    rng = np.random.default_rng(4)
+    tables = {"node": (m.conn, m.n_nodes), "dof": (m.elem_udofs, m.n_udof)}
+    for idx, size in tables.values():
+        first, second = rng.normal(size=(2,) + idx.shape)
+        dense = np.zeros(size)
+        for values in (first, second):      # in order, as np.add.at sums
+            for e in range(m.n_elems):
+                dense[idx[e]] += values[e]
+        assert np.array_equal(m.scatter(first, second), dense)
+    for row_idx, n_rows in tables.values():
+        for col_idx, n_cols in tables.values():
+            blocks = rng.normal(size=(m.n_elems, row_idx.shape[1],
+                                      col_idx.shape[1]))
+            dense = np.zeros((n_rows, n_cols))
+            for e in range(m.n_elems):
+                dense[np.ix_(row_idx[e], col_idx[e])] += blocks[e]
+            csr = m.assemble(blocks)
+            assert csr.shape == (n_rows, n_cols)
+            assert np.abs(csr.toarray() - dense).max() <= 1e-14
+    assert m.assemble(np.ones((m.n_elems, dim * 2 ** dim, 2 ** dim))
+                      ).shape == (m.n_udof, m.n_nodes)
+    with pytest.raises(ValueError):
+        m.scatter(np.ones((m.n_elems, 3)))
+
+
+@pytest.mark.parametrize("dim,counts,extents", [
+    (2, [3, 2], [1.5, 2.0]),
+    (3, [2, 3, 2], [1.0, 1.5, 0.5]),
+])
+def test_mass_and_laplace_matrices_are_cached_operators(dim, counts, extents):
+    m = fm.build_structured_mesh(dim, counts, extents)
+    ones = np.ones(m.n_nodes)
+    assert ones @ m.mass_matrix @ ones == pytest.approx(np.prod(extents),
+                                                        rel=1e-12)
+    assert np.abs(m.laplace_matrix @ ones).max() <= 1e-13
+    x = m.coords[:, 0]
+    # int grad x . grad x = volume
+    assert x @ m.laplace_matrix @ x == pytest.approx(np.prod(extents),
+                                                     rel=1e-12)
+    assert m.mass_matrix is m.mass_matrix
+    assert m.laplace_matrix is m.laplace_matrix

@@ -186,11 +186,9 @@ class TestResidualPhiDerivative:
         smooth.regularized = True
 
         def ru_at(phiv):
-            f = fields.copy()
-            f.phi = phiv
-            res, _, _ = fwd.constitutive_sweep(smooth, f.u, f.d, phiv, state0)
-            r, _ = fwd.assemble_ru(smooth, f, res)
-            return r
+            res, _, _ = fwd.constitutive_sweep(smooth, fields.u, fields.d,
+                                               phiv, state0)
+            return fwd.assemble_ru(smooth, res)
 
         h = 1e-5
         for j in rng.choice(mesh.n_nodes, size=5, replace=False):
