@@ -19,7 +19,7 @@ def main():
     problem = Problem(mesh=mesh, params=params,
                       supports=[("left", (0, 1)), ("right", (1,))],
                       driven=("top", (1,)))
-    settings = SolverSettings(tau_f=1e-4, stagger_max_iter=600)
+    settings = SolverSettings(stagger_max_iter=600)
     traj = run_load_history(problem, 56, -1e-3, settings)
 
     print(f"{'step':>4} {'u':>9} {'|P|':>10} {'max d':>7} {'stagger':>7}")

@@ -116,7 +116,7 @@ _SCHEMA = (
     ("loading", "displacement_per_step", RunConfig, "displacement_per_step",
      float),
     ("loading", "steps", RunConfig, "steps", int),
-    ("loading", "tau_f", SolverSettings, "tau_f", float),
+    ("loading", "tau_f", MaterialParams, "tau_f", float),
     ("loading", "body_force", RunConfig, "body_force", _floats),
     ("solver", "newton_tol_abs", SolverSettings, "newton_tol_abs", float),
     ("solver", "newton_tol_rel", SolverSettings, "newton_tol_rel", float),

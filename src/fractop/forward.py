@@ -9,6 +9,10 @@ summed into global vectors and matrices by ``Mesh.scatter`` and
 ``Mesh.assemble``, and the rows of B map to tensor Voigt slots through
 ``Mesh.voigt_rows``.
 
+The ``Problem`` alone defines the residual, the crack field's viscous term
+(eta_f / tau_f)(d - d_prev) included; ``SolverSettings`` holds only the
+stopping rules and caps of the Newton and staggered loops.
+
 The two forward systems, K_uu on the free DOFs (Newton) and K_dd (crack
 solve), are symmetric positive definite.  They are assembled straight into
 LAPACK lower band storage and solved by banded Cholesky.  The band is narrow
@@ -63,15 +67,21 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverSettings:
+    """Stopping rules and iteration caps of the Newton and staggered loops
+    only; the ``Problem`` defines the residual they drive to zero."""
+
     newton_tol_abs: float = 1e-10
     newton_tol_rel: float = 1e-8
     newton_max_iter: int = 25
     stagger_tol: float = 1e-6
     stagger_tol_abs: float = 1e-11
     stagger_max_iter: int = 200
-    tau_f: float = 1e-4
 
     def __post_init__(self):
+        for name in ("newton_tol_abs", "newton_tol_rel", "stagger_tol",
+                     "stagger_tol_abs"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.newton_max_iter < 0:
             raise ValueError("newton_max_iter must be >= 0")
         if self.stagger_max_iter < 1:
@@ -397,38 +407,35 @@ def _kuu_blocks(problem: Problem, result: mat.StressResult):
     return blocks
 
 
-def assemble_rd(problem: Problem, d, d_prev, history_qp, phi_qp,
-                settings: SolverSettings):
+def assemble_rd(problem: Problem, d, d_prev, history_qp, phi_qp):
     """Crack-field residual K_dd d - load, one element block at a time.
 
     Residual form: [(1-kappa)(d-1)H + d + (eta_f/tau_f)(d - d_prev)] N
     + l_f^2 f(phi) grad d . grad N.
     """
     mesh = problem.mesh
-    blocks = _kdd_blocks(problem, history_qp, phi_qp, settings)
+    blocks = _kdd_blocks(problem, history_qp, phi_qp)
     contrib = (blocks @ d[mesh.conn][..., None])[..., 0]
-    contrib -= _crack_load(problem, d_prev, history_qp, settings)
+    contrib -= _crack_load(problem, d_prev, history_qp)
     return mesh.scatter(contrib)
 
 
-def _crack_load(problem: Problem, d_prev, history_qp,
-                settings: SolverSettings):
+def _crack_load(problem: Problem, d_prev, history_qp):
     """Element load vectors (n_elems, nen) of the crack-field system,
     sum_q w ((1 - kappa) H + (eta_f / tau_f) d_prev) N_a."""
     mesh = problem.mesh
     p = problem.params
-    visc = p.eta_f / settings.tau_f
+    visc = p.eta_f / p.tau_f
     source = (1.0 - p.kappa) * history_qp + visc * mesh.interpolate(d_prev)
     return (mesh.w_detj * source) @ mesh.shape_n
 
 
-def _kdd_blocks(problem: Problem, history_qp, phi_qp,
-                settings: SolverSettings):
+def _kdd_blocks(problem: Problem, history_qp, phi_qp):
     """Element matrices (n_elems, nen, nen) of the crack-field system."""
     mesh = problem.mesh
     p = problem.params
     ops = problem.operators
-    visc = p.eta_f / settings.tau_f
+    visc = p.eta_f / p.tau_f
     gradw = mesh.w_detj * p.l_f ** 2 * problem.transition(phi_qp)
     react = (1.0 - p.kappa) * history_qp + 1.0 + visc
 
@@ -476,16 +483,15 @@ def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
     return k_ud, k_du
 
 
-def assemble_tangent_blocks(problem: Problem, sweep, qstate_prev: QuadState,
-                            settings: SolverSettings) -> TangentBlocks:
+def assemble_tangent_blocks(problem: Problem, sweep,
+                            qstate_prev: QuadState) -> TangentBlocks:
     """Re-assemble the full coupled tangent at a committed trajectory state
     from its constitutive sweep, the return value of ``constitutive_sweep``
     on that state and ``qstate_prev``."""
     result, d_qp, phi_qp = sweep
     history_qp = tentative_history(problem, result, qstate_prev)
     k_uu = problem.mesh.assemble(_kuu_blocks(problem, result))
-    k_dd = problem.mesh.assemble(_kdd_blocks(problem, history_qp, phi_qp,
-                                             settings))
+    k_dd = problem.mesh.assemble(_kdd_blocks(problem, history_qp, phi_qp))
     k_ud, k_du = assemble_coupling_blocks(problem, result, qstate_prev, d_qp)
     return TangentBlocks(k_uu=k_uu, k_ud=k_ud, k_du=k_du, k_dd=k_dd)
 
@@ -494,8 +500,7 @@ def assemble_tangent_blocks(problem: Problem, sweep, qstate_prev: QuadState,
 # linear and nonlinear solves
 # ---------------------------------------------------------------------------
 
-def linear_solve(matrix, rhs: np.ndarray,
-                 settings: SolverSettings) -> np.ndarray:
+def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` by one of two direct methods.
 
     - ``matrix`` an ndarray: the lower band of a symmetric positive definite
@@ -523,8 +528,7 @@ def linear_solve(matrix, rhs: np.ndarray,
     return sol
 
 
-def solve_crack_field(problem: Problem, d_prev, history_qp, phi_qp,
-                      settings: SolverSettings):
+def solve_crack_field(problem: Problem, d_prev, history_qp, phi_qp):
     """One linear solve of the crack-field equation (it is linear in d for a
     fixed history), projected onto [d_prev, 1] so the crack never heals.
 
@@ -533,10 +537,10 @@ def solve_crack_field(problem: Problem, d_prev, history_qp, phi_qp,
     when the projection changed a value."""
     mesh = problem.mesh
     band = problem.dd_band
-    load = mesh.scatter(_crack_load(problem, d_prev, history_qp, settings))
-    k_dd = band.assemble(_kdd_blocks(problem, history_qp, phi_qp, settings))
+    load = mesh.scatter(_crack_load(problem, d_prev, history_qp))
+    k_dd = band.assemble(_kdd_blocks(problem, history_qp, phi_qp))
     d_new = np.empty(mesh.n_nodes)
-    d_new[band.order] = linear_solve(k_dd, load[band.order], settings)
+    d_new[band.order] = linear_solve(k_dd, load[band.order])
     overshoot = max(float(np.max(d_new) - 1.0), float(np.max(d_prev - d_new)),
                     0.0)
     return np.clip(d_new, d_prev, 1.0), overshoot
@@ -571,11 +575,9 @@ def newton_displacement(problem: Problem, fields: FieldSet,
             return result, residual, corrections, it
         if it == settings.newton_max_iter:
             break
-        if free.size == 0:
-            break
         band = problem.uu_band
         k_uu = band.assemble(_kuu_blocks(problem, result))
-        u[band.order] += linear_solve(k_uu, -residual[band.order], settings)
+        u[band.order] += linear_solve(k_uu, -residual[band.order])
         corrections += 1
     raise SolverError("displacement Newton failed to converge",
                       residual=rnorm)
@@ -597,7 +599,6 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
     """
     mesh = problem.mesh
     fields = fields_prev.copy()
-    fields.p_u[:] = 0.0
 
     stats = StepStats()
     ref = None
@@ -609,7 +610,7 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
     history_qp = tentative_history(problem, result, qstate_prev)
     for k in range(1, settings.stagger_max_iter + 1):
         fields.d, overshoot = solve_crack_field(
-            problem, fields_prev.d, history_qp, phi_qp, settings)
+            problem, fields_prev.d, history_qp, phi_qp)
         stats.d_overshoot = max(stats.d_overshoot, overshoot)
 
         # mechanical part under the new prescribed values
@@ -626,7 +627,7 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
         # The history also drives the next pass's crack solve.
         history_qp = tentative_history(problem, result, qstate_prev)
         rd = assemble_rd(problem, fields.d, fields_prev.d, history_qp,
-                         phi_qp, settings)
+                         phi_qp)
         rd[(fields.d <= fields_prev.d) & (rd > 0.0)] = 0.0
         rd[(fields.d >= 1.0) & (rd < 0.0)] = 0.0
         res = (np.linalg.norm(residual[problem.free_dofs])

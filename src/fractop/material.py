@@ -38,7 +38,8 @@ _P_DEV[:3, :3] -= 1.0 / 3.0
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Constitutive and regularization constants (MPa / mm units)."""
+    """Constitutive and regularization constants (MPa / mm units); the
+    crack residual's viscous term is (eta_f / tau_f)(d - d_prev)."""
 
     bulk_modulus: float
     shear_modulus: float
@@ -47,11 +48,12 @@ class MaterialParams:
     psi_c: float = 1.0
     zeta: float = 1.0
     eta_f: float = 1e-6
+    tau_f: float = 1e-4
     kappa: float = 1e-8
     l_f: float = 1.0
 
     def __post_init__(self):
-        for name in ("bulk_modulus", "shear_modulus", "psi_c", "l_f"):
+        for name in ("bulk_modulus", "shear_modulus", "psi_c", "l_f", "tau_f"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("hardening_modulus", "yield_stress", "zeta", "eta_f"):

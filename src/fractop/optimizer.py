@@ -21,6 +21,10 @@ from .levelset import TopoParams
 
 log = logging.getLogger("fractop")
 
+BISECTION_TOL = 1e-3      # relative change of the multiplier at which to stop
+BISECTION_MAX_ITER = 60
+STAGNATION_WINDOW = 3     # stalled outer iterations that end the loop
+
 
 @dataclass
 class OptimizationSettings:
@@ -28,10 +32,7 @@ class OptimizationSettings:
     theta_v: float = 0.05
     formulation: int = 2
     r_min: float = 1.0
-    bisection_tol: float = 1e-3
-    bisection_max_iter: int = 60
     stagnation_tol: float = 1e-4
-    stagnation_window: int = 3
     volume_tol: float = 1e-2
     max_outer_iterations: int = 300
     n_steps: int = 1
@@ -128,7 +129,7 @@ def bisection_step(problem: Problem, state: OptimizerState,
                <= 2.0 * settings.volume_tol)
     chi_ref = settings.target_volume if endgame else state.expected_volume
     best = None
-    for k in range(1, settings.bisection_max_iter + 1):
+    for k in range(1, BISECTION_MAX_ITER + 1):
         lam_prev = lam
         lam = float(np.sqrt(lam_l * lam_u))
         bracket_ok = bracket_ok and (lam_l <= lam <= lam_u)
@@ -152,7 +153,7 @@ def bisection_step(problem: Problem, state: OptimizerState,
         iterations = k
         if lam_prev is not None:
             res_v = abs(lam - lam_prev) / abs(lam + lam_prev)
-            if res_v <= settings.bisection_tol:
+            if res_v <= BISECTION_TOL:
                 converged = True
                 break
     _, phi_out, lam_out, chi_out = best
@@ -173,7 +174,6 @@ def run_optimization(problem: Problem, topo: TopoParams,
                      callback=None) -> OptimizationResult:
     """Full outer loop; terminates when the objective stalls for the
     stagnation window while the volume constraint is met."""
-    solver = solver or SolverSettings()
     mesh = problem.mesh
     state = OptimizerState(phi=np.ones(mesh.n_nodes))
     kernel = filtering.build_kernel(mesh, settings.r_min)
@@ -197,7 +197,7 @@ def run_optimization(problem: Problem, topo: TopoParams,
         objective = -sensitivity.objective_total(trajectory)  # stored work
         chi_prev = levelset.volume_ratio(mesh, state.phi)
 
-        adjoints = sensitivity.adjoint_sweep(problem, trajectory, solver,
+        adjoints = sensitivity.adjoint_sweep(problem, trajectory,
                                              settings.formulation)
         g_s = sensitivity.solid_sensitivity(adjoints)
         g_tilde = filtering.filter_field(kernel, g_s)
@@ -269,7 +269,7 @@ def run_optimization(problem: Problem, topo: TopoParams,
                 stagnant += 1
             else:
                 stagnant = 0
-        if volume_ok and stagnant >= settings.stagnation_window:
+        if volume_ok and stagnant >= STAGNATION_WINDOW:
             converged = True
             break
         if settings.target_volume >= 1.0 and volume_ok:

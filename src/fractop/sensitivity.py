@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .forward import (Problem, SolverSettings, Trajectory,
-                      assemble_tangent_blocks, constitutive_sweep,
-                      linear_solve, stress_shape_blocks)
+from .forward import (Problem, Trajectory, assemble_tangent_blocks,
+                      constitutive_sweep, linear_solve, stress_shape_blocks)
 from .levelset import dirac_regularized, heaviside_regularized
 
 log = logging.getLogger("fractop")
@@ -107,7 +106,7 @@ def residual_phi_derivative(problem: Problem, d, sweep):
 
 
 def adjoint_solve(blocks, du_full: np.ndarray, problem: Problem,
-                  settings: SolverSettings, formulation: int = 2):
+                  formulation: int = 2):
     """Solve the transposed tangent system with prescribed-DOF entries of
     the displacement adjoint pinned to du/2.
 
@@ -133,13 +132,12 @@ def adjoint_solve(blocks, du_full: np.ndarray, problem: Problem,
     lam = np.zeros(system.shape[0])
     lam[pres] = pinned
     rows = system.T.tocsr()[unknown]
-    lam[unknown] = linear_solve(rows[:, unknown], -rows[:, pres] @ pinned,
-                                settings)
+    lam[unknown] = linear_solve(rows[:, unknown], -rows[:, pres] @ pinned)
     return lam[:ku], (lam[ku:] if formulation == 2 else None)
 
 
 def adjoint_sweep(problem: Problem, trajectory: Trajectory,
-                  settings: SolverSettings, formulation: int = 2):
+                  formulation: int = 2):
     """Per-step adjoints over the whole trajectory, each with its products
     against the explicit residual derivatives of its own level.
 
@@ -152,11 +150,9 @@ def adjoint_sweep(problem: Problem, trajectory: Trajectory,
         qstate_prev = trajectory.qstates[n - 1]
         sweep = constitutive_sweep(problem, fields.u, fields.d, fields.phi,
                                    qstate_prev)
-        blocks = assemble_tangent_blocks(problem, sweep, qstate_prev,
-                                         settings)
+        blocks = assemble_tangent_blocks(problem, sweep, qstate_prev)
         du = fields.u - trajectory.fields[n - 1].u
-        lam_u, lam_d = adjoint_solve(blocks, du, problem, settings,
-                                     formulation)
+        lam_u, lam_d = adjoint_solve(blocks, du, problem, formulation)
         dru, drd = residual_phi_derivative(
             problem, None if lam_d is None else fields.d, sweep)
         adjoints.append(AdjointState(

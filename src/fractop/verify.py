@@ -82,7 +82,6 @@ def fd_sensitivity(problem: Problem, index: int, delta_phi: float,
                    settings: SolverSettings = None, phi=None) -> float:
     """Central difference of the Lagrangian under a perturbation of the
     topological field at one node; returns the velocity estimate -dL/dPhi."""
-    settings = settings or SolverSettings()
     base = (np.ones(problem.mesh.n_nodes) if phi is None
             else np.asarray(phi, float))
     phi_plus = base.copy()
@@ -105,13 +104,12 @@ def compare_sensitivities(problem: Problem, nodes, n_steps: int,
     sweep and the assembled solid sensitivity; the FD arm re-solves the
     forward problem per probe with the regularized transition.
     """
-    settings = settings or SolverSettings()
     mesh = problem.mesh
     base = np.ones(mesh.n_nodes) if phi is None else np.asarray(phi, float)
     nodes = np.asarray(nodes, dtype=int)
 
     traj = run_load_history(problem, n_steps, du_per_step, settings, phi=base)
-    adjoints = adjoint_sweep(problem, traj, settings, formulation)
+    adjoints = adjoint_sweep(problem, traj, formulation)
     analytic_v = -solid_sensitivity(adjoints)[nodes]
 
     fd_v = np.empty(nodes.size)

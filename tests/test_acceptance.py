@@ -216,8 +216,7 @@ def test_criterion_08_bisection_fixed_point(bend_run):
     cfg = bend_run.cfg
     settings = bend_run.settings
     traj = bend_run.baseline
-    adj = sens.adjoint_sweep(problem, traj, cfg.solver,
-                             cfg.optimization.formulation)
+    adj = sens.adjoint_sweep(problem, traj, cfg.optimization.formulation)
     g_s = sens.solid_sensitivity(adj)
     kernel = filtering.build_kernel(problem.mesh, cfg.optimization.r_min)
     g_hat = filtering.filter_field(kernel, g_s)

@@ -146,6 +146,8 @@ class TestLoadConfig:
         ("topology", "velocity_cap = -1"),
         ("loading", "steps = three"),
         ("loading", "body_force = 0 x"),
+        ("loading", "tau_f = 0"),
+        ("loading", "tau_f = -1e-4"),
         ("loading", "support1_box = 0 0 0 one"),
         ("loading", "support1_box = 0 0 2 3"),
         ("loading", "load_box = 3 4 0 1"),
@@ -153,6 +155,9 @@ class TestLoadConfig:
         ("mesh", "dimension = 2.5"),
         ("solver", "newton_max_iter = 2.5"),
         ("solver", "stagger_max_iter = 0"),
+        ("solver", "stagger_tol = nan"),
+        ("solver", "stagger_tol = -1"),
+        ("solver", "newton_tol_abs = -1"),
         ("output", "snapshot_cadence = often"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, section, line):

@@ -84,11 +84,10 @@ class TestAssembleRd:
     def test_no_driving_force_keeps_crack_closed(self):
         prob = small_problem()
         mesh = prob.mesh
-        settings = fwd.SolverSettings()
         zeros = np.zeros((mesh.n_elems, 4))
         phi_qp = np.ones((mesh.n_elems, 4))
         d, overshoot = fwd.solve_crack_field(prob, np.zeros(mesh.n_nodes),
-                                             zeros, phi_qp, settings)
+                                             zeros, phi_qp)
         assert np.abs(d).max() == 0.0
         assert overshoot == 0.0
 
@@ -97,14 +96,13 @@ class TestAssembleRd:
         # d = (1-k) H / (1 + (1-k) H + eta/tau)
         prob = small_problem()
         mesh = prob.mesh
-        settings = fwd.SolverSettings(tau_f=1e-4)
         hval = 7.3
         hist = np.full((mesh.n_elems, 4), hval)
         phi_qp = np.ones((mesh.n_elems, 4))
         d, _ = fwd.solve_crack_field(prob, np.zeros(mesh.n_nodes), hist,
-                                     phi_qp, settings)
+                                     phi_qp)
         kappa = prob.params.kappa
-        visc = prob.params.eta_f / settings.tau_f
+        visc = prob.params.eta_f / prob.params.tau_f
         expected = (1 - kappa) * hval / (1 + (1 - kappa) * hval + visc)
         # uniform driving keeps the gradient term inert: plateau everywhere
         assert np.abs(d - expected).max() < 1e-10
@@ -115,19 +113,17 @@ class TestAssembleRd:
         # Irreversibility holds d at d_prev and reports the 0.15 undershoot.
         prob = small_problem()
         mesh = prob.mesh
-        settings = fwd.SolverSettings(tau_f=prob.params.eta_f)
+        prob.params = replace(prob.params, tau_f=prob.params.eta_f)
         zeros = np.zeros((mesh.n_elems, 4))
         phi_qp = np.ones((mesh.n_elems, 4))
         d_prev = np.full(mesh.n_nodes, 0.3)
-        d, overshoot = fwd.solve_crack_field(prob, d_prev, zeros, phi_qp,
-                                             settings)
+        d, overshoot = fwd.solve_crack_field(prob, d_prev, zeros, phi_qp)
         assert np.array_equal(d, d_prev)
         assert overshoot == pytest.approx(0.15, rel=1e-10)
 
     def test_kdd_matches_fd_and_is_spd(self):
         prob = small_problem()
         mesh = prob.mesh
-        settings = fwd.SolverSettings()
         rng = np.random.default_rng(1)
         d = rng.uniform(0, 0.8, mesh.n_nodes)
         d_prev = np.clip(d - 0.05, 0, 1)
@@ -135,9 +131,9 @@ class TestAssembleRd:
         phi_qp = np.ones((mesh.n_elems, 4))
 
         def residual_at(dv):
-            return fwd.assemble_rd(prob, dv, d_prev, hist, phi_qp, settings)
+            return fwd.assemble_rd(prob, dv, d_prev, hist, phi_qp)
 
-        k_dd = mesh.assemble(fwd._kdd_blocks(prob, hist, phi_qp, settings))
+        k_dd = mesh.assemble(fwd._kdd_blocks(prob, hist, phi_qp))
         h = 1e-7
         for j in rng.choice(mesh.n_nodes, size=6, replace=False):
             dp = d.copy()
@@ -175,7 +171,7 @@ class TestStaggeredStep:
                                      ("left", (1,)),
                                      ("right", (1,))],
                            driven=("right", (0,)))
-        settings = fwd.SolverSettings(tau_f=1e-4)
+        settings = fwd.SolverSettings()
         stretch = 0.05
         fields, qstate, stats = fwd.staggered_step(
             prob, prob.initial_fields(), prob.initial_state(), stretch,
@@ -191,13 +187,13 @@ class TestStaggeredStep:
         hval = params.zeta * max(
             (res.psi_plus[0] + res.psi_p[0]) / params.psi_c - 1.0, 0.0)
         kappa = params.kappa
-        visc = params.eta_f / settings.tau_f
+        visc = params.eta_f / params.tau_f
         expected = (1 - kappa) * hval / (1 + (1 - kappa) * hval + visc)
         assert d.mean() == pytest.approx(expected, rel=1e-8)
 
     def test_rerun_is_deterministic_fixed_point(self):
         prob = make_bend_beam()
-        settings = fwd.SolverSettings(tau_f=1e-4)
+        settings = fwd.SolverSettings()
         f1, q1, s1 = fwd.staggered_step(prob, prob.initial_fields(),
                                         prob.initial_state(), -0.03,
                                         settings)
@@ -241,7 +237,7 @@ class TestStaggeredStep:
                             counted("solve", fwd.linear_solve))
         _, _, stats = fwd.staggered_step(
             prob, prob.initial_fields(), prob.initial_state(), -0.03,
-            fwd.SolverSettings(tau_f=1e-4))
+            fwd.SolverSettings())
         assert stats.stagger_iterations > 2
         assert calls["sweep"] == (1 + stats.stagger_iterations
                                   + stats.newton_iterations)
@@ -296,7 +292,7 @@ class TestLoadHistory:
     def test_brittle_beam_softens_after_peak(self):
         # bend-beam analog pushed through its load peak
         prob = make_bend_beam()
-        settings = fwd.SolverSettings(tau_f=1e-4, stagger_max_iter=600)
+        settings = fwd.SolverSettings(stagger_max_iter=600)
         traj = fwd.run_load_history(prob, 52, -1e-3, settings)
         r = np.abs(np.array(traj.reaction))
         peak = int(np.argmax(r))
@@ -305,7 +301,7 @@ class TestLoadHistory:
 
     def test_crack_field_never_decreases(self):
         prob = make_bend_beam()
-        settings = fwd.SolverSettings(tau_f=1e-4, stagger_max_iter=600)
+        settings = fwd.SolverSettings(stagger_max_iter=600)
         traj = fwd.run_load_history(prob, 30, -1.4e-3, settings)
         assert traj.fields[-1].d.max() > 0.05
         worst = 0.0
@@ -330,7 +326,7 @@ class TestLoadHistory:
 
             monkeypatch.setattr(fwd, name, counted)
         traj = fwd.run_load_history(make_bend_beam(), 3, -0.01,
-                                    fwd.SolverSettings(tau_f=1e-4))
+                                    fwd.SolverSettings())
         passes = sum(s.stagger_iterations for s in traj.stats)
         assert calls["assemble_rd"] == passes > 0
         assert calls["assemble_ru"] >= passes
@@ -366,7 +362,7 @@ class TestLoadHistory:
 
     def test_nonconvergence_carries_partial_trajectory(self):
         prob = make_bend_beam()
-        settings = fwd.SolverSettings(tau_f=1e-4, stagger_max_iter=3)
+        settings = fwd.SolverSettings(stagger_max_iter=3)
         with pytest.raises(fwd.SolverError) as err:
             fwd.run_load_history(prob, 40, -1.5e-3, settings)
         traj = err.value.partial_trajectory
@@ -405,10 +401,10 @@ class TestBandedSolve:
         fields, qstate_prev = traj.fields[25], traj.qstates[24]
         assert fields.d.max() > 0.1
         assert np.all(traj.qstates[25].alpha > 0.0)
-        return prob, cfg.solver, fields, qstate_prev, traj.qstates[25]
+        return prob, fields, qstate_prev, traj.qstates[25]
 
     def test_matches_sparse_lu_at_cracked_plastic_state(self, ductile_state):
-        prob, settings, fields, qstate_prev, qstate = ductile_state
+        prob, fields, qstate_prev, qstate = ductile_state
         mesh = prob.mesh
         rng = np.random.default_rng(7)
         result, _, phi_qp = fwd.constitutive_sweep(
@@ -419,16 +415,15 @@ class TestBandedSolve:
              mesh.assemble(fwd._kuu_blocks(prob, result))[free][:, free],
              free, mesh.n_udof),
             (prob.dd_band,
-             fwd._kdd_blocks(prob, qstate.history, phi_qp, settings),
-             mesh.assemble(fwd._kdd_blocks(prob, qstate.history, phi_qp,
-                                           settings)),
+             fwd._kdd_blocks(prob, qstate.history, phi_qp),
+             mesh.assemble(fwd._kdd_blocks(prob, qstate.history, phi_qp)),
              np.arange(mesh.n_nodes), mesh.n_nodes),
         )
         for pattern, blocks, csr, unknowns, size in cases:
             rhs = rng.normal(size=size)
             banded = np.zeros(size)
             banded[pattern.order] = fwd.linear_solve(
-                pattern.assemble(blocks), rhs[pattern.order], settings)
+                pattern.assemble(blocks), rhs[pattern.order])
             ref = spsolve(csr.tocsc(), rhs[unknowns])
             err = np.abs(banded[unknowns] - ref).max() / np.abs(ref).max()
             assert err < 1e-10
@@ -436,13 +431,13 @@ class TestBandedSolve:
     def test_band_repeats_the_csr_matrix_bit_for_bit(self, ductile_state):
         # the band sums each entry in the order tocsr does, so the forward
         # solves see the same matrix as the CSR blocks of the adjoint
-        prob, settings, fields, qstate_prev, qstate = ductile_state
+        prob, fields, qstate_prev, qstate = ductile_state
         result, _, phi_qp = fwd.constitutive_sweep(
             prob, fields.u, fields.d, fields.phi, qstate_prev)
         cases = (
             (prob.uu_band, fwd._kuu_blocks(prob, result)),
             (prob.dd_band,
-             fwd._kdd_blocks(prob, qstate.history, phi_qp, settings)),
+             fwd._kdd_blocks(prob, qstate.history, phi_qp)),
         )
         for pattern, blocks in cases:
             csr = prob.mesh.assemble(blocks)
@@ -473,7 +468,7 @@ class TestBandedSolve:
         # [[1, 2], [2, 1]] has eigenvalues 3 and -1
         band = np.array([[1.0, 1.0], [2.0, 0.0]])
         with pytest.raises(fwd.SolverError, match="positive definite"):
-            fwd.linear_solve(band, np.ones(2), fwd.SolverSettings())
+            fwd.linear_solve(band, np.ones(2))
 
     def test_problems_keep_their_own_orderings(self):
         # same node count, transposed grids: the orderings differ, so a
@@ -510,9 +505,8 @@ class TestBandedSolve:
 
         monkeypatch.setattr(fwd, "_band_pattern", counted)
         prob = make_bend_beam()
-        settings = fwd.SolverSettings(tau_f=1e-4)
         for _ in range(2):
-            traj = fwd.run_load_history(prob, 3, -0.01, settings)
+            traj = fwd.run_load_history(prob, 3, -0.01)
         assert sum(s.newton_corrections for s in traj.stats) > 3
         assert sorted(built) == [prob.mesh.n_nodes, prob.free_dofs.size]
 
@@ -536,11 +530,11 @@ class TestElementOperators:
             fields = traj.fields[steps]
             result, _, phi_qp = fwd.constitutive_sweep(
                 prob, fields.u, fields.d, fields.phi, traj.qstates[steps - 1])
-            out[key] = (prob, cfg.solver, result, phi_qp, fields.d,
+            out[key] = (prob, result, phi_qp, fields.d,
                         traj.fields[steps - 1].d, traj.qstates[steps].history)
-        prob, _, result, _, d, _, _ = out["strip"]
+        prob, result, _, d, _, _ = out["strip"]
         assert np.all(result.moduli[2] != 0.0) and d.max() > 0.1
-        assert not np.any(out["bend"][2].moduli[2])
+        assert not np.any(out["bend"][1].moduli[2])
         return out
 
     @staticmethod
@@ -549,7 +543,7 @@ class TestElementOperators:
 
     @pytest.mark.parametrize("key", ["bend", "strip", "block"])
     def test_kuu_matches_bdb_with_full_tangent(self, states, key):
-        prob, _, result, _, _, _, _ = states[key]
+        prob, result, _, _, _, _ = states[key]
         mesh = prob.mesh
         rows = mesh.voigt_rows
         dmat = result.tangent[..., rows, :][..., :, rows]
@@ -559,19 +553,18 @@ class TestElementOperators:
 
     @pytest.mark.parametrize("key", ["bend", "strip", "block"])
     def test_crack_kernels_match_quadrature_formulas(self, states, key):
-        prob, settings, _, phi_qp, d, d_prev, hist = states[key]
+        prob, _, phi_qp, d, d_prev, hist = states[key]
         mesh = prob.mesh
         p = prob.params
         kappa = p.kappa
-        visc = p.eta_f / settings.tau_f
+        visc = p.eta_f / p.tau_f
         gradw = mesh.w_detj * p.l_f ** 2 * mat.transition_f(phi_qp, kappa)
         react = (1.0 - kappa) * hist + 1.0 + visc
         k_ref = np.einsum("eq,eq,qa,qb->eab", mesh.w_detj, react,
                           mesh.shape_n, mesh.shape_n)
         k_ref += np.einsum("eq,eqad,eqbd->eab", gradw, mesh.dn_dx,
                            mesh.dn_dx)
-        self._close(fwd._kdd_blocks(prob, hist, phi_qp, settings), k_ref,
-                    1e-14)
+        self._close(fwd._kdd_blocks(prob, hist, phi_qp), k_ref, 1e-14)
 
         def residual(dv):
             d_qp = mesh.interpolate(dv)
@@ -587,14 +580,14 @@ class TestElementOperators:
         # at the converged d the residual is roundoff, so scale by its terms
         load = np.abs(residual(np.zeros_like(d))).max()
         for dv in (d, np.zeros_like(d), np.full_like(d, 0.5)):
-            err = np.abs(fwd.assemble_rd(prob, dv, d_prev, hist, phi_qp,
-                                         settings) - residual(dv)).max()
+            err = np.abs(fwd.assemble_rd(prob, dv, d_prev, hist, phi_qp)
+                         - residual(dv)).max()
             assert err <= 1e-13 * max(load, np.abs(k_ref).max()
                                       * np.abs(dv).max())
 
     @pytest.mark.parametrize("key", ["bend", "strip", "block"])
     def test_moduli_rebuild_the_tangent(self, states, key):
-        result = states[key][2]
+        result = states[key][1]
         a, b, c = result.moduli
         nhat = result.nhat
         rebuilt = (a[..., None, None] * mat._J_VOL
@@ -613,9 +606,8 @@ class TestElementOperators:
 
         monkeypatch.setattr(fwd, "_element_operators", counted)
         prob = make_bend_beam()
-        settings = fwd.SolverSettings(tau_f=1e-4)
         for _ in range(2):
-            traj = fwd.run_load_history(prob, 3, -0.01, settings)
+            traj = fwd.run_load_history(prob, 3, -0.01)
         assert sum(s.newton_corrections for s in traj.stats) > 3
         assert built == [prob.mesh]
 
@@ -628,19 +620,17 @@ class TestTangentBlocks:
         fields = traj.fields[2]
         sweep = fwd.constitutive_sweep(prob, fields.u, fields.d, fields.phi,
                                        traj.qstates[1])
-        blocks = fwd.assemble_tangent_blocks(prob, sweep, traj.qstates[1],
-                                             settings)
+        blocks = fwd.assemble_tangent_blocks(prob, sweep, traj.qstates[1])
         k = blocks.k_uu.toarray()
         assert np.abs(k - k.T).max() <= 1e-8 * np.abs(k).max()
 
     def test_coupling_blocks_vanish_without_stress_or_damage(self):
         prob = small_problem()
-        settings = fwd.SolverSettings()
         fields = prob.initial_fields()
         state0 = prob.initial_state()
         sweep = fwd.constitutive_sweep(prob, fields.u, fields.d, fields.phi,
                                        state0)
-        blocks = fwd.assemble_tangent_blocks(prob, sweep, state0, settings)
+        blocks = fwd.assemble_tangent_blocks(prob, sweep, state0)
         assert blocks.k_ud.nnz == 0 or np.abs(blocks.k_ud.data).max() == 0.0
         assert blocks.k_du.nnz == 0 or np.abs(blocks.k_du.data).max() == 0.0
 
@@ -655,7 +645,7 @@ class TestTangentBlocks:
         state0 = traj.qstates[0]
         sweep = fwd.constitutive_sweep(prob, fields.u, fields.d, fields.phi,
                                        state0)
-        blocks = fwd.assemble_tangent_blocks(prob, sweep, state0, settings)
+        blocks = fwd.assemble_tangent_blocks(prob, sweep, state0)
 
         def ru_at(dv):
             res, _, _ = fwd.constitutive_sweep(prob, fields.u, dv,

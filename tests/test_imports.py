@@ -16,3 +16,22 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                               for alias in node.names
                               if alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is API that nothing uses
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [a.arg for a in (args.posonlyargs + args.args
+                                      + args.kwonlyargs
+                                      + [args.vararg, args.kwarg]) if a]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}: {node.name}({name})" for name in params
+                       if name not in read and name not in ("self", "cls")]
+    assert unread == []

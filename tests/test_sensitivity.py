@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ class TestAdjointSolve:
         settings = fwd.SolverSettings()
         traj = fwd.run_load_history(prob, 2, -1e-3, settings)
         for formulation in (1, 2):
-            adjs = sens.adjoint_sweep(prob, traj, settings, formulation)
+            adjs = sens.adjoint_sweep(prob, traj, formulation)
             for n, adj in enumerate(adjs, start=1):
                 du = traj.fields[n].u - traj.fields[n - 1].u
                 pres = prob.prescribed_dofs
@@ -77,9 +78,9 @@ class TestAdjointSolve:
         traj = fwd.run_load_history(prob, 1, 1e-3, settings)
         blocks = fwd.assemble_tangent_blocks(
             prob, sweep_of(prob, traj.fields[1], traj.qstates[0]),
-            traj.qstates[0], settings)
+            traj.qstates[0])
         du = traj.fields[1].u - traj.fields[0].u
-        lam, _ = sens.adjoint_solve(blocks, du, prob, settings, 1)
+        lam, _ = sens.adjoint_solve(blocks, du, prob, 1)
         # dense reconstruction
         k = blocks.k_uu.toarray()
         pres = prob.prescribed_dofs
@@ -96,9 +97,9 @@ class TestAdjointSolve:
         traj = fwd.run_load_history(prob, 1, -1e-3, settings)
         blocks = fwd.assemble_tangent_blocks(
             prob, sweep_of(prob, traj.fields[1], traj.qstates[0]),
-            traj.qstates[0], settings)
+            traj.qstates[0])
         lam, lam_d = sens.adjoint_solve(blocks, np.zeros(prob.mesh.n_udof),
-                                        prob, settings, 2)
+                                        prob, 2)
         assert np.abs(lam).max() == 0.0
         assert np.abs(lam_d).max() == 0.0
 
@@ -106,8 +107,8 @@ class TestAdjointSolve:
         prob = make_cantilever()
         settings = fwd.SolverSettings()
         traj = fwd.run_load_history(prob, 2, -1e-3, settings)
-        a1 = sens.adjoint_sweep(prob, traj, settings, 1)
-        a2 = sens.adjoint_sweep(prob, traj, settings, 2)
+        a1 = sens.adjoint_sweep(prob, traj, 1)
+        a2 = sens.adjoint_sweep(prob, traj, 2)
         g1 = sens.solid_sensitivity(a1)
         g2 = sens.solid_sensitivity(a2)
         scale = np.abs(g1).max()
@@ -134,7 +135,7 @@ class TestAdjointSolve:
                             counted("adjoint_solve", sens.adjoint_solve))
         for formulation in (1, 2):
             calls.update(return_map=0, adjoint_solve=0)
-            adjs = sens.adjoint_sweep(prob, traj, settings, formulation)
+            adjs = sens.adjoint_sweep(prob, traj, formulation)
             sens.solid_sensitivity(adjs)
             assert calls == {"return_map": n_steps,
                              "adjoint_solve": n_steps}
@@ -170,9 +171,12 @@ class TestResidualPhiDerivative:
         assert deep.size == 1
         assert dense[:, deep].max() < 1e-2 * dense.max()
 
-    def test_columns_match_fd_of_residual(self):
-        # central difference with the regularized transition in both arms
-        prob = make_cantilever()
+    @pytest.mark.parametrize("body_force", [None, (0.3, -0.2)],
+                             ids=["no_body_force", "body_force"])
+    def test_columns_match_fd_of_residual(self, body_force):
+        # central difference with the regularized transition in both arms;
+        # a body force adds its f(phi)-weighted load to dR_u/dPhi
+        prob = replace(make_cantilever(), body_force=body_force)
         mesh = prob.mesh
         settings = fwd.SolverSettings()
         rng = np.random.default_rng(2)
