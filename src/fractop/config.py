@@ -6,15 +6,20 @@ either a settings object of the solvers (``MaterialParams``, ``TopoParams``,
 ``SolverSettings``, ``OptimizationSettings``) or the run-level ``RunConfig``
 and its load ``RegionSpec``.  A key left out of the file takes the default
 that its dataclass declares (``[topology] l_delta`` that of ``Problem``).
-Two defaults belong to the configuration itself, because ``OptimizationSettings`` holds none for them:
-``r_min = 3 * length_scale`` and ``target_volume = 1``.
+Two defaults belong to the configuration itself, because
+``OptimizationSettings`` holds none for them: ``r_min = 3 * length_scale``
+and ``target_volume = 1``.  ``RunConfig`` owns the load history (``steps``,
+``displacement_per_step``) and copies it into its ``OptimizationSettings``
+whenever it is built, ``dataclasses.replace`` included.
 
 Regions are axis-aligned boxes (min/max per axis).  Exactly one of the
 fracture threshold forms (psi_c directly, critical stress, or toughness)
-must be given.  A malformed or out-of-range value raises ``ConfigError``
-naming its key (the command line exits 2).  ``build_problem`` does the
-same for the two checks that need the mesh or the ``Problem``: a region box
-that matches no node and an out-of-range ``l_delta``.
+must be given; ``load_config`` converts the last two to psi_c from the
+validated ``MaterialParams``: sigma_c^2 / (2 E) with E its Young's modulus,
+or 3 g_c / (8 l_f sqrt(2)).  A malformed or out-of-range value raises
+``ConfigError`` naming its key (the command line exits 2).  ``build_problem``
+does the same for the two checks that need the mesh or the ``Problem``: a
+region box that matches no node and an out-of-range ``l_delta``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import phasefield
+import numpy as np
+
 from .forward import Problem, SolverSettings
 from .levelset import TopoParams
 from .material import MaterialParams
@@ -67,6 +73,11 @@ class RunConfig:
     snapshot_cadence: int = 0
     l_delta: float = Problem.l_delta   # checked when the Problem is built
 
+    def __post_init__(self):
+        # the optimizer's load history follows the run's, also on replace()
+        self.optimization = replace(self.optimization, n_steps=self.steps,
+                                    du_per_step=self.displacement_per_step)
+
 
 def _floats(text: str) -> tuple:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
@@ -76,9 +87,9 @@ def _ints(text: str) -> tuple:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
-# (section, key, dataclass, field, parser).  sigma_c and g_c fill psi_c
-# through phasefield.critical_psi; load_dofs is parsed once the dimension
-# is known.
+# (section, key, dataclass, field, parser).  sigma_c and g_c fill psi_c and
+# are converted in load_config, sigma_c^2 / 2E or 3 g_c / (8 l_f sqrt 2);
+# load_dofs is parsed once the dimension is known.
 _SCHEMA = (
     ("mesh", "dimension", RunConfig, "dimension", int),
     ("mesh", "counts", RunConfig, "counts", _ints),
@@ -235,15 +246,14 @@ def load_config(path) -> RunConfig:
         # psi_c holds the given threshold until it is converted
         params = MaterialParams(**m)
         if given[0] == "sigma_c":
-            params = replace(params, psi_c=phasefield.critical_psi(
-                sigma_c=params.psi_c, e_modulus=params.youngs_modulus))
+            params = replace(params, psi_c=params.psi_c ** 2
+                             / (2.0 * params.youngs_modulus))
         elif given[0] == "g_c":
-            params = replace(params, psi_c=phasefield.critical_psi(
-                g_c=params.psi_c, l_f=params.l_f))
+            params = replace(params, psi_c=3.0 * params.psi_c
+                             / (8.0 * params.l_f * np.sqrt(2.0)))
         optimization = OptimizationSettings(**{
             "target_volume": 1.0, "r_min": 3.0 * params.l_f,
-            **values[OptimizationSettings], "n_steps": run["steps"],
-            "du_per_step": run["displacement_per_step"]})
+            **values[OptimizationSettings]})
         return RunConfig(
             **run, material=params, topo=TopoParams(**values[TopoParams]),
             supports=supports, load=RegionSpec(**load),
@@ -307,10 +317,9 @@ def _text(values) -> str:
 
 
 def optimization_settings(cfg: RunConfig) -> OptimizationSettings:
-    """A fresh copy of ``cfg.optimization`` on the load history of ``cfg``
-    (callers may ``replace`` ``steps`` or ``displacement_per_step``)."""
-    return replace(cfg.optimization, n_steps=cfg.steps,
-                   du_per_step=cfg.displacement_per_step)
+    """A fresh copy of ``cfg.optimization``, which ``RunConfig`` keeps on
+    its own load history."""
+    return replace(cfg.optimization)
 
 
 def _pairs(box, dimension):

@@ -25,7 +25,6 @@ CUTOFF_FACTOR = 2.0
 class FilterKernel:
     """Row-normalized sparse smoothing operator on mesh nodes."""
 
-    r_min: float
     weights: sp.csr_matrix        # raw weights, self-weight 1 on the diagonal
     row_sums: np.ndarray
 
@@ -63,7 +62,7 @@ def build_kernel(mesh: Mesh, r_min: float) -> FilterKernel:
     weights = sp.coo_matrix((vals, (rows, cols)),
                             shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
     row_sums = np.asarray(weights.sum(axis=1)).ravel()
-    return FilterKernel(r_min=r_min, weights=weights, row_sums=row_sums)
+    return FilterKernel(weights=weights, row_sums=row_sums)
 
 
 def filter_field(kernel: FilterKernel, values: np.ndarray) -> np.ndarray:

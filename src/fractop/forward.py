@@ -48,7 +48,6 @@ from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import spsolve
 
 from . import material as mat
-from . import phasefield as pf
 from .material import MaterialParams, QuadState
 from .mesh import Mesh, element_pairs
 
@@ -258,8 +257,11 @@ def driving_energy(result: mat.StressResult):
 
 
 def tentative_history(problem: Problem, result, qstate_prev):
-    d_tilde = pf.driving_force(driving_energy(result), 0.0, problem.params)
-    return pf.update_history(qstate_prev.history, d_tilde)
+    """Crack driving force H = zeta <f(phi)(psi+ + psi_p)/psi_c - 1>, kept
+    as the running maximum over the load history (irreversibility)."""
+    p = problem.params
+    d_tilde = p.zeta * np.maximum(driving_energy(result) / p.psi_c - 1.0, 0.0)
+    return np.maximum(qstate_prev.history, d_tilde)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +292,7 @@ def _element_operators(mesh: Mesh) -> ElementOperators:
     b_u = mesh.b_u
     m = b_u[:, :, :mesh.dimension].sum(axis=2)
     mm = m[..., :, None] * m[..., None, :]
-    pdev = np.einsum("eqsi,st,eqtj->eqij", b_u, mat._P_DEV[np.ix_(rows, rows)],
+    pdev = np.einsum("eqsi,st,eqtj->eqij", b_u, mat.P_DEV[np.ix_(rows, rows)],
                      b_u, optimize=True)
     ne, nq, ndofe = m.shape
     return ElementOperators(

@@ -1,6 +1,6 @@
 """Constitutive kernel: volumetric/deviatoric energy split, degradation and
-solid/void transition functions, radial-return J2 plasticity and the
-algorithmically consistent tangent.
+solid/void transition functions, the crack surface density, radial-return J2
+plasticity and the algorithmically consistent tangent.
 
 The consistent tangent of this isotropic model is fixed by three scalars per
 material point, C = a (1 x 1) + b P_dev + c (n x n) with n the unit flow
@@ -32,8 +32,8 @@ VOIGT_WEIGHT = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
 # [e11, e22, e33, g23, g13, g12], stress output [s11, s22, s33, s23, s13, s12])
 _J_VOL = np.zeros((6, 6))
 _J_VOL[:3, :3] = 1.0
-_P_DEV = np.diag([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
-_P_DEV[:3, :3] -= 1.0 / 3.0
+P_DEV = np.diag([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
+P_DEV[:3, :3] -= 1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,16 @@ def transition_f(phi, kappa, l_delta: float = None):
     return (1.0 - kappa) * h ** 2 + kappa
 
 
+def crack_density(d, grad_d, l_f: float):
+    """Crack surface density gamma = (d^2 / l_f + l_f |grad d|^2) / 2."""
+    if l_f <= 0:
+        raise ValueError("l_f must be positive")
+    d = np.asarray(d, dtype=float)
+    grad_d = np.asarray(grad_d, dtype=float)
+    grad_sq = np.einsum("...d,...d->...", grad_d, grad_d)
+    return 0.5 * (d ** 2 / l_f + l_f * grad_sq)
+
+
 def energy_split(eps_e: np.ndarray, params: MaterialParams):
     """Additive split of the effective strain energy into damageable and
     undamageable parts.
@@ -282,5 +292,5 @@ def _tangent(params, fphi, gd, hplus, plastic, dlam, eps_e, nhat):
     """Degraded consistent tangent in engineering Voigt form: the three
     ``tangent_moduli`` composed into (..., 6, 6)."""
     a, b, c = tangent_moduli(params, fphi, gd, hplus, plastic, dlam, eps_e)
-    return (a[..., None, None] * _J_VOL + b[..., None, None] * _P_DEV
+    return (a[..., None, None] * _J_VOL + b[..., None, None] * P_DEV
             + c[..., None, None] * np.einsum("...i,...j->...ij", nhat, nhat))

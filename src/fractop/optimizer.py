@@ -29,9 +29,9 @@ STAGNATION_WINDOW = 3     # stalled outer iterations that end the loop
 @dataclass
 class OptimizationSettings:
     target_volume: float
+    r_min: float
     theta_v: float = 0.05
     formulation: int = 2
-    r_min: float = 1.0
     stagnation_tol: float = 1e-4
     volume_tol: float = 1e-2
     max_outer_iterations: int = 300

@@ -15,7 +15,6 @@ import pytest
 
 from fractop import cli
 from fractop import material as mat
-from fractop import phasefield as pf
 from fractop import verify
 from fractop.config import build_problem, load_config, optimization_settings
 from fractop.forward import run_load_history
@@ -108,7 +107,8 @@ def test_criterion_02_crack_profile_energy():
             t = (xm - x[:-1]) / np.diff(x)
             dq = (1 - t) * d[:-1] + t * d[1:]
             grad = (d[1:] - d[:-1]) / np.diff(x)
-            acc += 0.5 * np.diff(x) @ pf.crack_density(dq, grad[:, None], l_f)
+            acc += 0.5 * np.diff(x) @ mat.crack_density(dq, grad[:, None],
+                                                        l_f)
         total[l_f] = acc
         assert acc == pytest.approx(1.0, rel=2e-2)
     print(f"\n[PASS] criterion 2: crack-profile energy integrals "

@@ -1,5 +1,6 @@
 import re
 import textwrap
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -212,6 +213,23 @@ class TestLoadConfig:
         assert cfg.body_force is None
         assert cfg.output_dir == "out"
         assert cfg.snapshot_cadence == 0
+
+    def test_target_volume_and_r_min_have_no_dataclass_default(self):
+        # their defaults are the configuration's (1 and 3 * length_scale)
+        no_default = {f.name for f in fields(OptimizationSettings)
+                      if f.default is MISSING
+                      and f.default_factory is MISSING}
+        assert {"target_volume", "r_min"} <= no_default
+
+    def test_replaced_load_history_reaches_the_optimizer(self):
+        base = load_config("configs/bend2d.ini")
+        cfg = replace(base, steps=3, displacement_per_step=-1e-3)
+        assert cfg.optimization.n_steps == 3
+        assert cfg.optimization.du_per_step == -1e-3
+        assert optimization_settings(cfg) == cfg.optimization
+        # the file's config keeps its own load history
+        assert base.optimization.n_steps == base.steps == 24
+        assert base.optimization.du_per_step == base.displacement_per_step
 
 
 class TestBuildProblem:

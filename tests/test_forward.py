@@ -591,7 +591,7 @@ class TestElementOperators:
         a, b, c = result.moduli
         nhat = result.nhat
         rebuilt = (a[..., None, None] * mat._J_VOL
-                   + b[..., None, None] * mat._P_DEV
+                   + b[..., None, None] * mat.P_DEV
                    + c[..., None, None] * nhat[..., :, None]
                    * nhat[..., None, :])
         self._close(rebuilt, result.tangent, 1e-14)

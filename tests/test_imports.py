@@ -18,6 +18,29 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert offenders == []
 
 
+def test_package_init_imports_nothing():
+    # each public name has one import path: its module
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_no_module_reads_a_private_attribute_of_a_sibling():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        siblings = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level > 0
+                    and not node.module for alias in node.names}
+        offenders += [f"{path.name}: {node.value.id}.{node.attr}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id in siblings
+                      and node.attr.startswith("_")]
+    assert offenders == []
+
+
 def test_every_parameter_is_read():
     # a parameter that its function never reads is API that nothing uses
     unread = []

@@ -104,7 +104,7 @@ class TestReturnMap:
         assert np.all(res.new_state.alpha == 0.0)
         # tangent equals the isotropic elastic tensor
         expected = (p.bulk_modulus * mat._J_VOL
-                    + 2 * p.shear_modulus * mat._P_DEV)
+                    + 2 * p.shear_modulus * mat.P_DEV)
         assert np.allclose(res.tangent[0], expected, rtol=1e-12)
 
     def test_void_points_stay_elastic(self):
@@ -192,7 +192,7 @@ class TestConsistentTangent:
         assert res.new_state.lambda_p[0] == 0.0
         g = mat.degradation_g(0.2, p.kappa)
         expected = g * (p.bulk_modulus * mat._J_VOL
-                        + 2 * p.shear_modulus * mat._P_DEV)
+                        + 2 * p.shear_modulus * mat.P_DEV)
         assert np.allclose(res.tangent[0], expected, rtol=1e-9)
 
     def test_plastic_tangent_matches_fd(self):
@@ -221,7 +221,7 @@ class TestConsistentTangent:
         res = mat.return_map(eps, mat.QuadState.zeros(1), 1.0, 1.0, p)
         tan = res.tangent[0]
         elastic = (p.bulk_modulus * mat._J_VOL
-                   + 2 * p.shear_modulus * mat._P_DEV)
+                   + 2 * p.shear_modulus * mat.P_DEV)
         assert np.linalg.norm(tan) <= (p.kappa * np.linalg.norm(elastic)
                                        + 1e-12) * (1 + 1e-6)
 

@@ -125,7 +125,7 @@ class TestFdSensitivity:
             f_qp = mat.transition_f(mesh.interpolate(phi), params.kappa,
                                     l_delta=5.0)
             dmat = (params.bulk_modulus * mat._J_VOL
-                    + 2 * params.shear_modulus * mat._P_DEV)
+                    + 2 * params.shear_modulus * mat.P_DEV)
             rows = [0, 1, 5]
             d2d = dmat[np.ix_(rows, rows)]
             ke_local = np.zeros((8, 8))
