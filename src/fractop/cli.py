@@ -5,9 +5,14 @@ Subcommands:
   forward-only       load-history solve on the fixed (fully solid) topology
   verify-sensitivity central-difference check of the adjoint sensitivity
 
+After its exports, run solves the load history of the original (phi = 1)
+and the optimized layout and logs the volume ratio, the first and final
+objective, and each layout's fracture-onset step and peak |reaction|.
+
 Exit codes: 0 success, 1 solver or verification failure, 2 usage/config
-errors.  When a forward-only solve fails, the steps committed before the
-failure are still written.  The environment variable FRACTOP_OUTPUT_DIR
+errors.  A failed command keeps what it has: forward-only writes the
+committed steps, run the history of its completed iterations and their last
+load history (and no summary).  The environment variable FRACTOP_OUTPUT_DIR
 overrides the output directory of the configuration file.
 """
 
@@ -21,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import export, verify
+from . import export, levelset, verify
 from .config import ConfigError, build_problem, load_config, \
     optimization_settings
 from .forward import SolverError, run_load_history
@@ -81,26 +86,38 @@ def _write_trajectory(outdir: Path, cfg, problem, trajectory,
                               trajectory.fields[n], trajectory.qstates[n])
 
 
-def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    problem = build_problem(cfg)
-    settings = optimization_settings(cfg)
-    outdir = _output_dir(cfg)
-    result = run_optimization(problem, cfg.topo, settings, cfg.solver)
+def _write_result(outdir: Path, cfg, problem, result):
     export.write_history(outdir / "history.csv", result.records)
     if result.trajectory is not None:
         _write_trajectory(outdir, cfg, problem, result.trajectory,
                           prefix="final")
+
+
+def cmd_run(cfg, problem, outdir: Path) -> int:
+    settings = optimization_settings(cfg)
+    try:
+        result = run_optimization(problem, cfg.topo, settings, cfg.solver)
+    except SolverError as err:
+        _write_result(outdir, cfg, problem, err.partial_result)
+        raise
+    _write_result(outdir, cfg, problem, result)
     log.info("optimization %s after %d iterations",
              "converged" if result.converged else "stopped",
              len(result.records))
+    original, optimized = (
+        run_load_history(problem, cfg.steps, cfg.displacement_per_step,
+                         cfg.solver, phi=phi) for phi in (None, result.phi))
+    log.info("volume ratio %.4f (target %g); objective %.4e -> %.4e",
+             levelset.volume_ratio(problem.mesh, result.phi),
+             settings.target_volume, result.records[0].objective,
+             result.records[-1].objective)
+    log.info("fracture onset step %s -> %s; peak |reaction| %.4e -> %.4e",
+             original.onset_step, optimized.onset_step,
+             np.abs(original.reaction).max(), np.abs(optimized.reaction).max())
     return 0
 
 
-def cmd_forward_only(args) -> int:
-    cfg = load_config(args.config)
-    problem = build_problem(cfg)
-    outdir = _output_dir(cfg)
+def cmd_forward_only(cfg, problem, outdir: Path) -> int:
     try:
         trajectory = run_load_history(problem, cfg.steps,
                                       cfg.displacement_per_step, cfg.solver)
@@ -116,17 +133,15 @@ def cmd_forward_only(args) -> int:
     return 0
 
 
-def cmd_verify_sensitivity(args) -> int:
-    cfg = load_config(args.config)
-    problem = build_problem(cfg)
-    outdir = _output_dir(cfg)
+def cmd_verify_sensitivity(cfg, problem, outdir: Path, formulation,
+                           delta, max_probes, tolerance) -> int:
     nodes = verify.interior_solid_nodes(problem)
-    if args.max_probes > 0 and nodes.size > args.max_probes:
-        stride = int(np.ceil(nodes.size / args.max_probes))
+    if max_probes > 0 and nodes.size > max_probes:
+        stride = int(np.ceil(nodes.size / max_probes))
         nodes = nodes[::stride]
     report = verify.compare_sensitivities(
         problem, nodes, cfg.steps, cfg.displacement_per_step, cfg.solver,
-        formulation=args.formulation, delta_phi=args.delta)
+        formulation=formulation, delta_phi=delta)
     export.write_fd_report(outdir / "fd_report.csv", report)
     log.info("sensitivity check: mean rel. error %.3e over %d nodes "
              "(max %.3e)", report.mean_rel_error, report.nodes.size,
@@ -136,7 +151,7 @@ def cmd_verify_sensitivity(args) -> int:
         log.warning("%d finite-difference probes failed",
                     int(report.invalid.sum()))
         return 1
-    return 0 if report.mean_rel_error < args.tolerance else 1
+    return 0 if report.mean_rel_error < tolerance else 1
 
 
 def main(argv=None) -> int:
@@ -148,8 +163,14 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     handlers = {"run": cmd_run, "forward-only": cmd_forward_only,
                 "verify-sensitivity": cmd_verify_sensitivity}
+    # each handler takes the command's own options by name
+    options = {key: value for key, value in vars(args).items()
+               if key not in ("command", "config")}
     try:
-        return handlers[args.command](args)
+        cfg = load_config(args.config)
+        problem = build_problem(cfg)
+        return handlers[args.command](cfg, problem, _output_dir(cfg),
+                                      **options)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

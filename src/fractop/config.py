@@ -25,13 +25,12 @@ region box that matches no node and an out-of-range ``l_delta``.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from .forward import Problem, SolverSettings
 from .levelset import TopoParams
@@ -250,7 +249,7 @@ def load_config(path) -> RunConfig:
                              / (2.0 * params.youngs_modulus))
         elif given[0] == "g_c":
             params = replace(params, psi_c=3.0 * params.psi_c
-                             / (8.0 * params.l_f * np.sqrt(2.0)))
+                             / (8.0 * params.l_f * math.sqrt(2.0)))
         optimization = OptimizationSettings(**{
             "target_volume": 1.0, "r_min": 3.0 * params.l_f,
             **values[OptimizationSettings]})

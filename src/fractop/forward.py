@@ -53,6 +53,8 @@ from .mesh import Mesh, element_pairs
 
 log = logging.getLogger("fractop")
 
+ONSET_CRACK = 0.1   # crack field value that marks fracture onset
+
 
 class SolverError(RuntimeError):
     """Raised when a linear or nonlinear solve fails to produce a usable
@@ -129,15 +131,22 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.fields) - 1
 
+    @property
+    def onset_step(self):
+        """First level with a crack value above ``ONSET_CRACK``, or None."""
+        return next((n for n, f in enumerate(self.fields)
+                     if f.d.max() > ONSET_CRACK), None)
+
 
 @dataclass
 class TangentBlocks:
-    """Coupled tangent of the (u, d) residual system at a committed state."""
+    """Coupled tangent of the (u, d) residual system at a committed state;
+    Formulation 1 builds K_uu alone and leaves the other blocks None."""
 
     k_uu: sp.csr_matrix
-    k_ud: sp.csr_matrix
-    k_du: sp.csr_matrix
-    k_dd: sp.csr_matrix
+    k_ud: sp.csr_matrix = None
+    k_du: sp.csr_matrix = None
+    k_dd: sp.csr_matrix = None
 
 
 @dataclass
@@ -485,14 +494,16 @@ def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
     return k_ud, k_du
 
 
-def assemble_tangent_blocks(problem: Problem, sweep,
-                            qstate_prev: QuadState) -> TangentBlocks:
-    """Re-assemble the full coupled tangent at a committed trajectory state
-    from its constitutive sweep, the return value of ``constitutive_sweep``
-    on that state and ``qstate_prev``."""
+def assemble_tangent_blocks(problem: Problem, sweep, qstate_prev: QuadState,
+                            formulation: int = 2) -> TangentBlocks:
+    """Re-assemble the tangent that the adjoint of ``formulation`` solves at
+    a committed trajectory state from its constitutive sweep, the return
+    value of ``constitutive_sweep`` on that state and ``qstate_prev``."""
     result, d_qp, phi_qp = sweep
-    history_qp = tentative_history(problem, result, qstate_prev)
     k_uu = problem.mesh.assemble(_kuu_blocks(problem, result))
+    if formulation == 1:
+        return TangentBlocks(k_uu=k_uu)
+    history_qp = tentative_history(problem, result, qstate_prev)
     k_dd = problem.mesh.assemble(_kdd_blocks(problem, history_qp, phi_qp))
     k_ud, k_du = assemble_coupling_blocks(problem, result, qstate_prev, d_qp)
     return TangentBlocks(k_uu=k_uu, k_ud=k_ud, k_du=k_du, k_dd=k_dd)

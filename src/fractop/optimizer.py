@@ -61,13 +61,11 @@ class OptimizationSettings:
 
 @dataclass
 class OptimizerState:
-    """Mutable state of the outer loop: current topology, multiplier
-    bracket, and the filtered-sensitivity history buffer (depth 3)."""
+    """Mutable state of the outer loop: current topology, accepted
+    multiplier, and the filtered-sensitivity history buffer (depth 3)."""
 
     phi: np.ndarray
     lambda_v: float = 0.0
-    lambda_lower: float = 1e-8
-    lambda_upper: float = 1e8
     expected_volume: float = 1.0
     sensitivity_history: list = field(default_factory=list)
     objective_history: list = field(default_factory=list)
@@ -161,8 +159,6 @@ def bisection_step(problem: Problem, state: OptimizerState,
         log.warning("bisection hit the iteration cap; returning best "
                     "candidate (chi=%.4f, target=%.4f)", chi_out,
                     state.expected_volume)
-    state.lambda_lower = lam_l
-    state.lambda_upper = lam_u
     return phi_out, lam_out, {"iterations": iterations,
                               "converged": converged, "chi": chi_out,
                               "bracket_ok": bracket_ok}
@@ -189,92 +185,101 @@ def run_optimization(problem: Problem, topo: TopoParams,
     # near-equal-value boundary nodes forever
     tau_eff = topo.tau_phi
     reached_target = False
-    for m in range(1, settings.max_outer_iterations + 1):
-        tic = time.perf_counter()
-        trajectory = run_load_history(problem, settings.n_steps,
-                                      settings.du_per_step, solver,
-                                      phi=state.phi)
-        objective = -sensitivity.objective_total(trajectory)  # stored work
-        chi_prev = levelset.volume_ratio(mesh, state.phi)
+    try:
+        for m in range(1, settings.max_outer_iterations + 1):
+            tic = time.perf_counter()
+            trajectory = run_load_history(problem, settings.n_steps,
+                                          settings.du_per_step, solver,
+                                          phi=state.phi)
+            # the objective is the stored work
+            objective = -sensitivity.objective_total(trajectory)
+            chi_prev = levelset.volume_ratio(mesh, state.phi)
 
-        adjoints = sensitivity.adjoint_sweep(problem, trajectory,
-                                             settings.formulation)
-        g_s = sensitivity.solid_sensitivity(adjoints)
-        g_tilde = filtering.filter_field(kernel, g_s)
-        g_hat = filtering.history_average(
-            g_tilde,
-            state.sensitivity_history[-1] if state.sensitivity_history else None,
-            state.sensitivity_history[-2] if len(state.sensitivity_history) > 1
-            else None,
-            m)
-        state.sensitivity_history.append(g_hat)
-        del state.sensitivity_history[:-2]
+            adjoints = sensitivity.adjoint_sweep(problem, trajectory,
+                                                 settings.formulation)
+            g_s = sensitivity.solid_sensitivity(adjoints)
+            g_tilde = filtering.filter_field(kernel, g_s)
+            past = state.sensitivity_history
+            g_hat = filtering.history_average(
+                g_tilde, past[-1] if past else None,
+                past[-2] if len(past) > 1 else None, m)
+            state.sensitivity_history.append(g_hat)
+            del state.sensitivity_history[:-2]
 
-        state.expected_volume = expected_volume(chi_prev,
-                                                settings.target_volume,
-                                                settings.theta_v)
-        expected_volumes.append(state.expected_volume)
-        if reached_target:
-            tau_eff = max(0.7 * tau_eff, 1e-3 * topo.tau_phi)
-            if abs(chi_prev - settings.target_volume) > 2 * settings.volume_tol:
-                tau_eff = topo.tau_phi       # drifted out: re-enable motion
-        topo_eff = replace(topo, tau_phi=tau_eff)
-        if settings.target_volume >= 1.0 and chi_prev <= settings.target_volume:
-            # constraint already met with nothing to remove
-            lam = 0.0
-            diag = {"iterations": 0, "converged": True, "chi": chi_prev,
-                    "bracket_ok": True}
-        else:
-            # when the level-set step is too small to carve the iteration's
-            # quota out of a (near-)saturated field, retry with a boosted
-            # pseudo-time step until candidates reach the expected volume
-            boost = 1.0
-            while True:
-                trial_topo = replace(topo_eff,
-                                     tau_phi=boost * topo_eff.tau_phi)
-                phi_new, lam, diag = bisection_step(problem, state, g_hat,
-                                                    trial_topo, settings)
-                quota_missed = (
-                    diag["chi"] - state.expected_volume > settings.volume_tol
-                    and diag["chi"] - settings.target_volume
-                    > settings.volume_tol)
-                if not quota_missed or boost >= 32.0:
-                    break
-                boost *= 2.0
-            state.phi = phi_new
-        bracket_ok = bracket_ok and diag["bracket_ok"]
-        state.lambda_v = lam
-        state.objective_history.append(objective)
-
-        stagger_max = max((s.stagger_iterations for s in trajectory.stats),
-                          default=0)
-        rec = ConvergenceRecord(
-            iteration=m, objective=objective, volume_ratio=diag["chi"],
-            lambda_v=lam, bisection_iterations=diag["iterations"],
-            stagger_iterations_max=stagger_max,
-            wall_time=time.perf_counter() - tic)
-        records.append(rec)
-        log.info("[m=%03d] J=%.9g chi=%.4f lambda_V=%.4g bisect=%d",
-                 m, objective, diag["chi"], lam, diag["iterations"])
-        if callback is not None:
-            callback(rec, state)
-
-        volume_ok = abs(diag["chi"] - settings.target_volume) \
-            <= settings.volume_tol
-        reached_target = reached_target or volume_ok
-        if len(state.objective_history) >= 2:
-            prev = state.objective_history[-2]
-            denom = max(abs(objective), 1e-14)
-            if abs(objective - prev) / denom < settings.stagnation_tol:
-                stagnant += 1
+            state.expected_volume = expected_volume(chi_prev,
+                                                    settings.target_volume,
+                                                    settings.theta_v)
+            expected_volumes.append(state.expected_volume)
+            if reached_target:
+                tau_eff = max(0.7 * tau_eff, 1e-3 * topo.tau_phi)
+                if (abs(chi_prev - settings.target_volume)
+                        > 2 * settings.volume_tol):
+                    tau_eff = topo.tau_phi   # drifted out: re-enable motion
+            topo_eff = replace(topo, tau_phi=tau_eff)
+            if (settings.target_volume >= 1.0
+                    and chi_prev <= settings.target_volume):
+                # constraint already met with nothing to remove
+                lam = 0.0
+                diag = {"iterations": 0, "converged": True, "chi": chi_prev,
+                        "bracket_ok": True}
             else:
-                stagnant = 0
-        if volume_ok and stagnant >= STAGNATION_WINDOW:
-            converged = True
-            break
-        if settings.target_volume >= 1.0 and volume_ok:
-            converged = True
-            break
+                # retry with a boosted pseudo-time step until candidates
+                # reach the expected volume when the level-set step is too
+                # small to carve the quota out of a (near-)saturated field
+                boost = 1.0
+                while True:
+                    trial_topo = replace(topo_eff,
+                                         tau_phi=boost * topo_eff.tau_phi)
+                    phi_new, lam, diag = bisection_step(problem, state, g_hat,
+                                                        trial_topo, settings)
+                    quota_missed = (
+                        diag["chi"] - state.expected_volume
+                        > settings.volume_tol
+                        and diag["chi"] - settings.target_volume
+                        > settings.volume_tol)
+                    if not quota_missed or boost >= 32.0:
+                        break
+                    boost *= 2.0
+                state.phi = phi_new
+            bracket_ok = bracket_ok and diag["bracket_ok"]
+            state.lambda_v = lam
+            state.objective_history.append(objective)
+
+            stagger_max = max((s.stagger_iterations
+                               for s in trajectory.stats), default=0)
+            rec = ConvergenceRecord(
+                iteration=m, objective=objective, volume_ratio=diag["chi"],
+                lambda_v=lam, bisection_iterations=diag["iterations"],
+                stagger_iterations_max=stagger_max,
+                wall_time=time.perf_counter() - tic)
+            records.append(rec)
+            log.info("[m=%03d] J=%.9g chi=%.4f lambda_V=%.4g bisect=%d",
+                     m, objective, diag["chi"], lam, diag["iterations"])
+            if callback is not None:
+                callback(rec, state)
+
+            volume_ok = abs(diag["chi"] - settings.target_volume) \
+                <= settings.volume_tol
+            reached_target = reached_target or volume_ok
+            if len(state.objective_history) >= 2:
+                prev = state.objective_history[-2]
+                denom = max(abs(objective), 1e-14)
+                if abs(objective - prev) / denom < settings.stagnation_tol:
+                    stagnant += 1
+                else:
+                    stagnant = 0
+            if volume_ok and stagnant >= STAGNATION_WINDOW:
+                converged = True
+                break
+            if settings.target_volume >= 1.0 and volume_ok:
+                converged = True
+                break
+    except SolverError as err:   # keep the completed iterations
+        err.partial_result = OptimizationResult(
+            phi=state.phi, records=records, converged=False,
+            trajectory=trajectory, bracket_ok=bracket_ok,
+            expected_volumes=expected_volumes[:len(records)])
+        raise
     return OptimizationResult(phi=state.phi, records=records,
                               converged=converged, trajectory=trajectory,
                               bracket_ok=bracket_ok,

@@ -150,7 +150,8 @@ def adjoint_sweep(problem: Problem, trajectory: Trajectory,
         qstate_prev = trajectory.qstates[n - 1]
         sweep = constitutive_sweep(problem, fields.u, fields.d, fields.phi,
                                    qstate_prev)
-        blocks = assemble_tangent_blocks(problem, sweep, qstate_prev)
+        blocks = assemble_tangent_blocks(problem, sweep, qstate_prev,
+                                         formulation)
         du = fields.u - trajectory.fields[n - 1].u
         lam_u, lam_d = adjoint_solve(blocks, du, problem, formulation)
         dru, drd = residual_phi_derivative(

@@ -29,13 +29,6 @@ pytestmark = pytest.mark.acceptance
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def onset_step(trajectory, threshold=0.1):
-    for n, fields in enumerate(trajectory.fields):
-        if fields.d.max() > threshold:
-            return n
-    return None
-
-
 def worst_crack_drift(trajectory):
     worst = 0.0
     for n in range(1, len(trajectory.fields)):
@@ -256,8 +249,8 @@ def test_criterion_10_end_to_end_trend(bend_run):
     objs = [r.objective for r in res.records]
     first = next(i for i, c in enumerate(chis) if abs(c - target) <= 1e-2)
     assert objs[-1] > objs[first]
-    onset0 = onset_step(bend_run.baseline)
-    onset1 = onset_step(bend_run.final)
+    onset0 = bend_run.baseline.onset_step
+    onset1 = bend_run.final.onset_step
     assert onset0 is not None, "original domain never reaches onset"
     assert onset1 is None or onset1 >= onset0
     print(f"\n[PASS] criterion 10: converged in {len(res.records)} "

@@ -9,6 +9,7 @@ from fractop import forward as fwd
 CANTILEVER = "configs/cantilever2d_elastic.ini"
 DUCTILE = "configs/ductile_strip2d.ini"
 BLOCK3D = "configs/block3d_elastic.ini"
+BEND = "configs/bend2d.ini"
 
 
 @pytest.fixture
@@ -117,6 +118,39 @@ def test_run_with_full_target_is_single_iteration(outdir):
     history = (outdir / "history.csv").read_text().splitlines()
     assert len(history) == 2  # header + one record
     assert (outdir / "final_0003.vtk").exists()
+
+
+def test_run_logs_the_fracture_summary(outdir, caplog):
+    # original against optimized layout, after the exports
+    caplog.set_level("INFO")
+    assert cli.main(["run", CANTILEVER]) == 0
+    assert "volume ratio 1.0000 (target 1); objective" in caplog.text
+    assert "fracture onset step None -> None; peak |reaction|" in caplog.text
+
+
+def test_run_failure_keeps_the_completed_iterations(outdir, monkeypatch,
+                                                    caplog):
+    # the third outer iteration's load history fails: the two completed
+    # iterations and the second one's load history are written
+    from fractop import optimizer
+
+    calls = []
+    run_load_history = optimizer.run_load_history
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise fwd.SolverError("injected failure")
+        return run_load_history(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "run_load_history", failing)
+    caplog.set_level("INFO")
+    assert cli.main(["run", BEND]) == 1
+    history = (outdir / "history.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in history[1:]] == ["1", "2"]
+    assert (outdir / "curves.csv").exists()
+    assert (outdir / "final_0024.vtk").exists()
+    assert "fracture onset" not in caplog.text
 
 
 def test_exported_volume_ratio_matches_exported_field(outdir):

@@ -82,6 +82,12 @@ class TestLoadConfig:
         assert cfg.material.psi_c == pytest.approx(
             3 * 0.5 / (8 * 0.18 * np.sqrt(2)))
 
+    @pytest.mark.parametrize("fracture", ["psi_c = 13.0", "sigma_c = 10.0",
+                                          "g_c = 0.5"])
+    def test_psi_c_is_a_float_from_every_source(self, tmp_path, fracture):
+        cfg = load_config(write(tmp_path, fracture=fracture))
+        assert type(cfg.material.psi_c) is float
+
     def test_two_threshold_sources_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="exactly one"):
             load_config(write(tmp_path,

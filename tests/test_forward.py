@@ -360,6 +360,17 @@ class TestLoadHistory:
         center = fm.tag_box(mesh, [(0.4, 0.6)] * 3, "mid").node_sets["mid"]
         assert np.abs(residual[mesh.udofs_of(center)]).max() < 1e-10
 
+    def test_onset_step_is_the_first_level_above_the_threshold(self):
+        prob = small_problem()
+        traj = fwd.Trajectory()
+        for d_max in (0.0, 0.05, fwd.ONSET_CRACK, 0.2, 0.15):
+            fields = prob.initial_fields()
+            fields.d[0] = d_max
+            traj.fields.append(fields)
+        assert traj.onset_step == 3
+        del traj.fields[3:]
+        assert traj.onset_step is None
+
     def test_nonconvergence_carries_partial_trajectory(self):
         prob = make_bend_beam()
         settings = fwd.SolverSettings(stagger_max_iter=3)

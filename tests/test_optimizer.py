@@ -51,8 +51,9 @@ class TestBisection:
 
     def test_zero_sensitivity_ratchets_lower_bound(self):
         # nothing can be removed at the paper's defaults (tiny tau), so the
-        # lower bound chases the upper one and the accepted topology is the
-        # incoming solid field
+        # lower bound chases the upper one until the bisection converges;
+        # every candidate is the incoming solid field, so the first trial
+        # multiplier is the one accepted
         prob = self.make_toy()
         topo = ls.TopoParams()  # tau 1e-4: interface cannot cross zero
         settings = opt.OptimizationSettings(target_volume=0.4, r_min=0.5,
@@ -63,7 +64,8 @@ class TestBisection:
         phi_new, lam, diag = opt.bisection_step(prob, state, g_zero, topo,
                                                 settings)
         assert diag["chi"] == 1.0
-        assert state.lambda_lower > 1.0
+        assert diag["converged"]
+        assert lam == 1.0
         assert diag["bracket_ok"]
 
     def test_converges_to_scanned_multiplier(self):
@@ -107,9 +109,9 @@ class TestBisection:
         state = opt.OptimizerState(phi=np.ones(mesh.n_nodes))
         state.expected_volume = 0.8
         g_s = -1e-4 * np.ones(mesh.n_nodes)
-        _, _, diag = opt.bisection_step(prob, state, g_s, topo, settings)
+        _, lam, diag = opt.bisection_step(prob, state, g_s, topo, settings)
         assert diag["bracket_ok"]
-        assert state.lambda_lower <= state.lambda_upper
+        assert 1e-8 <= lam <= 1e8
 
 
 class TestRunOptimization:
@@ -123,6 +125,32 @@ class TestRunOptimization:
         assert len(res.records) == 1
         assert np.all(res.phi == 1.0)
         assert res.records[0].volume_ratio == 1.0
+
+    def test_solver_error_carries_the_completed_iterations(self,
+                                                           monkeypatch):
+        prob = make_cantilever()
+        settings = opt.OptimizationSettings(target_volume=0.5, r_min=0.4,
+                                            n_steps=2, du_per_step=-1e-3)
+        histories, phis = [], []
+        run_load_history = opt.run_load_history
+
+        def failing(*args, **kwargs):
+            if len(histories) == 2:
+                raise fwd.SolverError("injected failure")
+            histories.append(run_load_history(*args, **kwargs))
+            return histories[-1]
+
+        monkeypatch.setattr(opt, "run_load_history", failing)
+        with pytest.raises(fwd.SolverError) as err:
+            opt.run_optimization(
+                prob, ls.TopoParams(tau_phi=1.0), settings,
+                callback=lambda rec, state: phis.append(state.phi.copy()))
+        partial = err.value.partial_result
+        assert [r.iteration for r in partial.records] == [1, 2]
+        assert not partial.converged
+        assert partial.trajectory is histories[-1]
+        assert np.array_equal(partial.phi, phis[-1])
+        assert len(partial.expected_volumes) == 2
 
     @pytest.mark.slow
     def test_elastic_cantilever_hits_half_volume(self):

@@ -140,6 +140,28 @@ class TestAdjointSolve:
             assert calls == {"return_map": n_steps,
                              "adjoint_solve": n_steps}
 
+    def test_formulation_1_builds_only_k_uu(self, monkeypatch):
+        # the F1 adjoint solves K_uu^T alone, so the sweep never assembles
+        # the coupling blocks that only Formulation 2 pairs with
+        prob = make_cantilever()
+        traj = fwd.run_load_history(prob, 2, -1e-3, fwd.SolverSettings())
+        calls = []
+        coupling = fwd.assemble_coupling_blocks
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return coupling(*args, **kwargs)
+
+        monkeypatch.setattr(fwd, "assemble_coupling_blocks", counted)
+        sens.adjoint_sweep(prob, traj, 1)
+        assert calls == []
+        blocks = fwd.assemble_tangent_blocks(
+            prob, sweep_of(prob, traj.fields[1], traj.qstates[0]),
+            traj.qstates[0], 1)
+        assert (blocks.k_ud, blocks.k_du, blocks.k_dd) == (None, None, None)
+        sens.adjoint_sweep(prob, traj, 2)
+        assert len(calls) == traj.n_steps
+
 
 class TestResidualPhiDerivative:
     def test_zero_strain_state_has_zero_derivative(self):
