@@ -5,9 +5,10 @@ Subcommands:
   forward-only       load-history solve on the fixed (fully solid) topology
   verify-sensitivity central-difference check of the adjoint sensitivity
 
-After its exports, run solves the load history of the original (phi = 1)
-and the optimized layout and logs the volume ratio, the first and final
-objective, and each layout's fracture-onset step and peak |reaction|.
+After the optimization, run writes its history, solves the load history
+of the original (phi = 1) and the optimized layout, exports the optimized
+one (curves and final snapshots) and logs the volume ratio, the first and
+final objective, and each layout's fracture-onset step and peak |reaction|.
 
 Exit codes: 0 success, 1 solver or verification failure, 2 usage/config
 errors.  A failed command keeps what it has: forward-only writes the
@@ -86,27 +87,27 @@ def _write_trajectory(outdir: Path, cfg, problem, trajectory,
                               trajectory.fields[n], trajectory.qstates[n])
 
 
-def _write_result(outdir: Path, cfg, problem, result):
-    export.write_history(outdir / "history.csv", result.records)
-    if result.trajectory is not None:
-        _write_trajectory(outdir, cfg, problem, result.trajectory,
-                          prefix="final")
-
-
 def cmd_run(cfg, problem, outdir: Path) -> int:
     settings = optimization_settings(cfg)
+    history = outdir / "history.csv"
     try:
         result = run_optimization(problem, cfg.topo, settings, cfg.solver)
     except SolverError as err:
-        _write_result(outdir, cfg, problem, err.partial_result)
+        partial = err.partial_result
+        export.write_history(history, partial.records)
+        if partial.trajectory is not None:
+            _write_trajectory(outdir, cfg, problem, partial.trajectory,
+                              prefix="final")
         raise
-    _write_result(outdir, cfg, problem, result)
+    export.write_history(history, result.records)
     log.info("optimization %s after %d iterations",
              "converged" if result.converged else "stopped",
              len(result.records))
     original, optimized = (
         run_load_history(problem, cfg.steps, cfg.displacement_per_step,
                          cfg.solver, phi=phi) for phi in (None, result.phi))
+    # the curves and snapshots show the returned layout, result.phi
+    _write_trajectory(outdir, cfg, problem, optimized, prefix="final")
     log.info("volume ratio %.4f (target %g); objective %.4e -> %.4e",
              levelset.volume_ratio(problem.mesh, result.phi),
              settings.target_volume, result.records[0].objective,

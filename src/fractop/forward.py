@@ -19,7 +19,11 @@ LAPACK lower band storage and solved by banded Cholesky.  The band is narrow
 because the nodes are ordered along the grid's short axes first; each
 Problem builds that ordering and the scatter into the band once, on first
 use.  The adjoint systems (unsymmetric for Formulation 2) stay sparse and go
-through sparse LU.
+through sparse LU.  Their tangent blocks are filled through the mesh's
+cached CSR patterns (``Mesh.assemble``), and ``sensitivity.adjoint_solve``
+gathers the blocks' data into the transposed system on the unknowns
+through a pattern each Problem also builds once per formulation, so no
+step converts COO to CSR, stacks, transposes or slices a sparse matrix.
 
 The element matrices are weighted sums of quadrature-point operators that
 depend on the mesh alone, which each Problem also builds once, on first use
@@ -49,7 +53,7 @@ from scipy.sparse.linalg import spsolve
 
 from . import material as mat
 from .material import MaterialParams, QuadState
-from .mesh import Mesh, element_pairs
+from .mesh import Mesh, csr_summation_order, element_pairs
 
 log = logging.getLogger("fractop")
 
@@ -170,6 +174,9 @@ class Problem:
     prescribed_dofs: np.ndarray = field(init=False)
     driven_dofs: np.ndarray = field(init=False)
     free_dofs: np.ndarray = field(init=False)
+    # sensitivity.AdjointPattern by formulation, each built on first use
+    adjoint_patterns: dict = field(init=False, default_factory=dict,
+                                   repr=False, compare=False)
 
     def __post_init__(self):
         if not self.l_delta > 0:
@@ -352,18 +359,6 @@ class BandPattern:
         return band.reshape(n, self.bandwidth + 1).T
 
 
-def _csr_summation_order(rows, cols, n) -> np.ndarray:
-    """Positions of the COO entries ``(rows, cols)`` in the order in which
-    ``tocsr`` adds up duplicates: rows filled in input order, then scipy's
-    own per-row sort of the column indices."""
-    by_row = np.argsort(rows, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    unsummed = sp.csr_matrix((by_row.astype(float), cols[by_row], indptr),
-                             shape=(n, n))
-    unsummed.sort_indices()
-    return unsummed.data.astype(np.intp)
-
-
 def _band_pattern(order, n_global, element_idx) -> BandPattern:
     """Band pattern of the matrix summed from element blocks at global
     indices ``element_idx[e, a]``, restricted and permuted to ``order``.
@@ -372,7 +367,7 @@ def _band_pattern(order, n_global, element_idx) -> BandPattern:
     band repeats the CSR values (and so the rounding) of ``Mesh.assemble``.
     """
     rows, cols = element_pairs(element_idx, element_idx)
-    summation = _csr_summation_order(rows, cols, n_global)
+    summation = csr_summation_order(rows, cols, (n_global, n_global))
     position = np.full(n_global, -1)
     position[order] = np.arange(order.size)
     row = position[rows[summation]]
@@ -456,12 +451,14 @@ def _kdd_blocks(problem: Problem, history_qp, phi_qp):
     return blocks.reshape(-1, nen, nen)
 
 
-def stress_shape_blocks(mesh: Mesh, s: np.ndarray) -> np.ndarray:
+def stress_shape_blocks(mesh: Mesh, s: np.ndarray,
+                        elements=slice(None)) -> np.ndarray:
     """Element blocks (n_elems, ndofe, nen) of sum_q w (B^T s)_i N_a for a
     quadrature-point field ``s`` in the rows of B: the kernel of K_ud, of
-    K_du (transposed) and of dR_u/dPhi."""
-    return np.einsum("eqsi,eqs,qa,eq->eia", mesh.b_u, s, mesh.shape_n,
-                     mesh.w_detj)
+    K_du (transposed) and of dR_u/dPhi.  With ``elements`` an index array,
+    ``s`` and the blocks cover those elements only."""
+    return np.einsum("eqsi,eqs,qa,eq->eia", mesh.b_u[elements], s,
+                     mesh.shape_n, mesh.w_detj[elements])
 
 
 def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
@@ -483,14 +480,20 @@ def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
     k_ud = mesh.assemble(stress_shape_blocks(mesh, coef))
 
     # K_du: dR_d/du through the history where the maximum advanced this step;
-    # dH/d eps = zeta f / psi_c * sigma+_eff on the active set
+    # dH/d eps = zeta f / psi_c * sigma+_eff on the active set.  Its element
+    # blocks are built only on elements with an active point.
     energy = driving_energy(result)
     active = ((result.new_state.history > qstate_prev.history)
-              & (energy > p.psi_c)).astype(float)
-    scale = active * p.zeta * fphi / p.psi_c
-    dcoef = (1.0 - kappa) * (d_qp - 1.0)
-    sens = (dcoef * scale)[..., None] * result.sigma_plus[..., rows]
-    k_du = mesh.assemble(stress_shape_blocks(mesh, sens).transpose(0, 2, 1))
+              & (energy > p.psi_c))
+    blocks = np.zeros((mesh.n_elems, mesh.nodes_per_elem,
+                       mesh.b_u.shape[-1]))
+    hot = np.flatnonzero(np.any(active, axis=1))
+    if hot.size:
+        scale = active[hot] * p.zeta * fphi[hot] / p.psi_c
+        dcoef = (1.0 - kappa) * (d_qp[hot] - 1.0)
+        sens = (dcoef * scale)[..., None] * result.sigma_plus[hot][..., rows]
+        blocks[hot] = stress_shape_blocks(mesh, sens, hot).transpose(0, 2, 1)
+    k_du = mesh.assemble(blocks)
     return k_ud, k_du
 
 
@@ -521,9 +524,10 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
       Cholesky (LAPACK ``pbsv``).  The forward solves take this path: K_uu
       on the free DOFs in Newton and K_dd in the crack solve.  A band that
       is not positive definite raises SolverError; there is no LU fallback.
-    - ``matrix`` a scipy sparse matrix: solved by sparse LU (SuperLU).  The
-      adjoint solves take this path, since the Formulation-2 system is
-      unsymmetric.
+    - ``matrix`` a scipy sparse matrix: solved by sparse LU (SuperLU),
+      ``spsolve`` on its CSC form.  The adjoint solves take this path,
+      since the Formulation-2 system is unsymmetric; they pass the CSC
+      system that ``sensitivity.AdjointPattern.fill`` builds.
     """
     if rhs.size == 0:
         return np.zeros(0)

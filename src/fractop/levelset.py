@@ -5,6 +5,11 @@ update of the level-set surface.
 The field is held at mesh nodes in [-1, 1]; material occupies {phi >= 0}.
 The Heaviside is evaluated at quadrature points from the interpolated field,
 so interface-cut elements integrate partial stiffness and volume.
+
+The update's matrix depends on the mesh and ``TopoParams`` alone, so
+``reaction_diffusion_system`` factors it once (sparse LU) and each
+``solve_reaction_diffusion`` call, one per bisection trial, only runs the
+triangular solves.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
-from scipy.sparse.linalg import spsolve
+# spsolve is unused here, but perfbench's tracer lists this
+# binding in EXPECTED_BINDINGS and refuses to install without it
+from scipy.sparse.linalg import splu, spsolve  # noqa: F401
 
 from .mesh import Mesh
 
@@ -68,32 +75,58 @@ def dirac_volume_vector(mesh: Mesh, phi: np.ndarray,
     return mesh.scatter(np.einsum("eq,qa->ea", w, mesh.shape_n))
 
 
-def solve_reaction_diffusion(mesh: Mesh, phi_m: np.ndarray,
-                             velocity: np.ndarray, params: TopoParams,
-                             pinned_nodes=()) -> np.ndarray:
+@dataclass(frozen=True)
+class ReactionDiffusionSystem:
+    """The level-set update's matrix eta M / tau + l^2 L on the free nodes,
+    factored by sparse LU, and what the right-hand side needs besides the
+    fields: the mass matrix, ``coef = eta / tau`` and the load that the
+    nodes pinned to 1 put on the free ones."""
+
+    mass: object
+    coef: float
+    free: np.ndarray
+    pinned: np.ndarray
+    pinned_load: np.ndarray
+    factors: object
+
+
+def reaction_diffusion_system(mesh: Mesh, params: TopoParams,
+                              pinned_nodes=()) -> ReactionDiffusionSystem:
+    """Factor the reaction-diffusion matrix once for every right-hand side
+    of one bisection; the mass and Laplace matrices are the mesh's cached
+    ones, and ``phi = 1`` is pinned on ``pinned_nodes``."""
+    mass = mesh.mass_matrix
+    coef = params.eta_phi / params.tau_phi
+    lhs = (coef * mass + params.l_phi ** 2 * mesh.laplace_matrix).tocsr()
+    pinned = np.asarray(pinned_nodes, dtype=int)
+    free = np.setdiff1d(np.arange(mesh.n_nodes), pinned)
+    lhs_f = lhs[free]
+    return ReactionDiffusionSystem(
+        mass=mass, coef=coef, free=free, pinned=pinned,
+        pinned_load=lhs_f[:, pinned] @ np.ones(pinned.size),
+        factors=splu(lhs_f[:, free].tocsc()))
+
+
+def solve_reaction_diffusion(system: ReactionDiffusionSystem,
+                             phi_m: np.ndarray,
+                             velocity: np.ndarray) -> np.ndarray:
     """One implicit pseudo-time step of the level-set evolution.
 
     Solves the weak form
         int [ (v - eta/tau (phi - phi_m)) dphi - l^2 grad phi . grad dphi ] dx = 0
-    with homogeneous Neumann sides, ``phi = 1`` pinned on ``pinned_nodes``
-    (the loaded region) and the result clamped to [-1, 1].  The mass and
-    Laplace matrices are the mesh's cached ones.
+    with homogeneous Neumann sides, ``phi = 1`` on the system's pinned nodes
+    (the loaded region) and the result clamped to [-1, 1].  Only the
+    triangular solves with the system's LU factors run here; they give the
+    bytes ``spsolve`` gives on the same matrix.
     """
     velocity = np.asarray(velocity, dtype=float)
     if not np.all(np.isfinite(velocity)):
         raise FloatingPointError("non-finite velocity field")
-    mass = mesh.mass_matrix
-    coef = params.eta_phi / params.tau_phi
-    lhs = (coef * mass + params.l_phi ** 2 * mesh.laplace_matrix).tocsr()
-    rhs = mass @ (velocity + coef * phi_m)
-
-    pinned = np.asarray(pinned_nodes, dtype=int)
-    free = np.setdiff1d(np.arange(mesh.n_nodes), pinned)
-    phi = np.empty(mesh.n_nodes)
-    phi[pinned] = 1.0
-    lhs_f = lhs[free]
-    rhs_f = rhs[free] - lhs_f[:, pinned] @ phi[pinned]
-    phi[free] = spsolve(lhs_f[:, free].tocsc(), rhs_f)
+    rhs = system.mass @ (velocity + system.coef * phi_m)
+    phi = np.empty(rhs.size)
+    phi[system.pinned] = 1.0
+    phi[system.free] = system.factors.solve(rhs[system.free]
+                                            - system.pinned_load)
     if not np.all(np.isfinite(phi)):
         raise RuntimeError("reaction-diffusion solve produced non-finite field")
     return np.clip(phi, -1.0, 1.0)

@@ -92,9 +92,10 @@ class Mesh:
     the only post-construction additions.
 
     ``scatter`` and ``assemble`` sum element arrays into global vectors and
-    CSR matrices.  The mesh's own operators, ``mass_matrix`` (int N_a N_b)
-    and ``laplace_matrix`` (int grad N_a . grad N_b), are assembled on first
-    use and cached.
+    CSR matrices; ``assemble`` fills one ``CsrPattern`` per pair of block
+    widths, built on first use and cached.  The mesh's own operators,
+    ``mass_matrix`` (int N_a N_b) and ``laplace_matrix`` (int grad N_a .
+    grad N_b), are assembled on first use and cached.
     """
 
     dimension: int
@@ -114,6 +115,9 @@ class Mesh:
     # layout, derived from dimension and conn
     elem_udofs: np.ndarray = field(init=False)   # (n_elems, nen*dim)
     voigt_rows: np.ndarray = field(init=False)   # [0, 1, 5] / [0, ..., 5]
+    # CSR patterns of ``assemble``, by (row width, column width)
+    _csr_patterns: dict = field(init=False, default_factory=dict,
+                                repr=False, compare=False)
 
     def __post_init__(self):
         self.elem_udofs = self.udofs_of(self.conn.ravel()).reshape(
@@ -166,24 +170,45 @@ class Mesh:
         entries: ``conn`` for one per node, ``elem_udofs`` for one per DOF."""
         if width == self.nodes_per_elem:
             return self.conn, self.n_nodes
-        return self.elem_udofs, self.n_udof
+        if width == self.elem_udofs.shape[1]:
+            return self.elem_udofs, self.n_udof
+        raise ValueError(f"element arrays of width {width} match neither "
+                         f"the nodes nor the DOFs of an element")
 
     def scatter(self, *element_values) -> np.ndarray:
-        """Sum element vectors ``(n_elems, width)`` into one global vector,
-        the arrays added in the order given."""
+        """Sum element vectors ``(n_elems, width)`` into one global vector.
+
+        One ``np.bincount`` over the arrays concatenated in the order given:
+        it adds the entries one after another, as ``np.add.at`` into zeros
+        would array by array, so the sums are the same to the bit."""
         index, size = self._element_index(element_values[0].shape[1])
-        out = np.zeros(size)
-        for values in element_values:
-            np.add.at(out, index, values)
-        return out
+        if len(element_values) > 1:
+            index = np.tile(index, (len(element_values), 1))
+        return np.bincount(index.ravel(),
+                           weights=np.concatenate(element_values).ravel(),
+                           minlength=size)
 
     def assemble(self, blocks: np.ndarray) -> sp.csr_matrix:
         """Sum element blocks ``(n_elems, rows, cols)`` into a CSR matrix;
-        rows and columns each index nodes or DOFs by their width."""
-        row_idx, n_rows = self._element_index(blocks.shape[1])
-        col_idx, n_cols = self._element_index(blocks.shape[2])
-        return sp.coo_matrix((blocks.ravel(), element_pairs(row_idx, col_idx)),
-                             shape=(n_rows, n_cols)).tocsr()
+        rows and columns each index nodes or DOFs by their width.
+
+        The matrix is filled through the ``csr_pattern`` of its two widths,
+        so its data, indices and indptr equal, bit for bit, those of the
+        COO matrix of the element entries converted by ``tocsr`` (but for
+        the sign of a zero that only -0.0 entries sum to); every
+        element-pair entry is stored, zeros included."""
+        return self.csr_pattern(blocks.shape[1], blocks.shape[2]).fill(blocks)
+
+    def csr_pattern(self, row_width: int, col_width: int) -> "CsrPattern":
+        """The CSR pattern of element blocks with ``row_width`` rows and
+        ``col_width`` columns, built on first use and cached."""
+        key = (row_width, col_width)
+        if key not in self._csr_patterns:
+            row_idx, n_rows = self._element_index(row_width)
+            col_idx, n_cols = self._element_index(col_width)
+            self._csr_patterns[key] = _csr_pattern(row_idx, col_idx,
+                                                   (n_rows, n_cols))
+        return self._csr_patterns[key]
 
     @cached_property
     def mass_matrix(self) -> sp.csr_matrix:
@@ -202,6 +227,60 @@ def element_pairs(row_idx, col_idx):
     rows = np.repeat(row_idx, col_idx.shape[1], axis=1).ravel()
     cols = np.tile(col_idx, (1, row_idx.shape[1])).ravel()
     return rows, cols
+
+
+def csr_summation_order(rows, cols, shape) -> np.ndarray:
+    """Positions of the COO entries ``(rows, cols)`` in the order in which
+    ``tocsr`` adds up duplicates: rows filled in input order, then scipy's
+    own per-row sort of the column indices."""
+    by_row = np.argsort(rows, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows,
+                                                        minlength=shape[0]))))
+    unsummed = sp.csr_matrix((by_row.astype(float), cols[by_row], indptr),
+                             shape=shape)
+    unsummed.sort_indices()
+    return unsummed.data.astype(np.intp)
+
+
+@dataclass(frozen=True)
+class CsrPattern:
+    """Where each entry of flattened element blocks lands in a CSR matrix.
+
+    ``order`` lists the entries in the order ``tocsr`` sums them and
+    ``slots`` the position of each in ``data``, nondecreasing; ``indices``
+    and ``indptr`` are the ones ``tocsr`` builds, index dtype included.
+    They are read-only: every matrix ``fill`` returns shares them.
+    """
+
+    order: np.ndarray
+    slots: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    def fill(self, blocks: np.ndarray) -> sp.csr_matrix:
+        """The CSR matrix the element ``blocks`` sum to.  ``np.bincount``
+        adds each slot's entries one after another in ``order``, as
+        ``tocsr`` does, but starting from +0.0."""
+        data = np.bincount(self.slots, weights=blocks.reshape(-1)[self.order],
+                           minlength=self.indices.size)
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+
+def _csr_pattern(row_idx, col_idx, shape) -> CsrPattern:
+    rows, cols = element_pairs(row_idx, col_idx)
+    order = csr_summation_order(rows, cols, shape)
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = ((rows[order[1:]] != rows[order[:-1]])
+                 | (cols[order[1:]] != cols[order[:-1]]))
+    # tocsr's own structure, so the index dtype is scipy's choice too
+    csr = sp.coo_matrix((np.ones(order.size), (rows, cols)),
+                        shape=shape).tocsr()
+    for array in (csr.indices, csr.indptr):
+        array.flags.writeable = False
+    return CsrPattern(order=order, slots=np.cumsum(first) - 1,
+                      indices=csr.indices, indptr=csr.indptr, shape=shape)
 
 
 def build_structured_mesh(dimension: int, counts, extents) -> Mesh:

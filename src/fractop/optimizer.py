@@ -106,12 +106,14 @@ def bisection_step(problem: Problem, state: OptimizerState,
 
     The Dirac weights of the volume sensitivity are anchored at the
     incoming topology so the candidate volume is monotone in the
-    multiplier.  Returns (phi_new, lambda_v, diagnostics).
+    multiplier.  The level-set matrix is factored once; each trial only
+    solves with it.  Returns (phi_new, lambda_v, diagnostics).
     """
     mesh = problem.mesh
     lam_l = 1e-8
     lam_u = max(1e8, 1e4 * state.lambda_v)
-    pinned = problem.driven_nodes
+    system = levelset.reaction_diffusion_system(mesh, topo,
+                                                problem.driven_nodes)
     w_dirac = levelset.dirac_volume_vector(mesh, state.phi, problem.l_delta)
 
     lam = None
@@ -135,8 +137,7 @@ def bisection_step(problem: Problem, state: OptimizerState,
         v = sensitivity.velocity_from_sensitivity(g_total)
         if settings.velocity_cap > 0:
             v = np.clip(v, -settings.velocity_cap, settings.velocity_cap)
-        phi_new = levelset.solve_reaction_diffusion(mesh, state.phi, v, topo,
-                                                    pinned_nodes=pinned)
+        phi_new = levelset.solve_reaction_diffusion(system, state.phi, v)
         chi = levelset.volume_ratio(mesh, phi_new)
         gap = chi - chi_ref
         penalty = gap if gap >= 0.0 else 1.5 * (-gap)

@@ -105,34 +105,100 @@ def residual_phi_derivative(problem: Problem, d, sweep):
     return dru, drd
 
 
+@dataclass(frozen=True)
+class AdjointPattern:
+    """Where the entries of one formulation's adjoint system come from.
+
+    ``system`` (CSC) is the transposed tangent on the unknowns and
+    ``coupling`` (CSR) its columns at the prescribed DOFs, each holding, in
+    place of a value, the id of the entry it takes from the tangent blocks'
+    CSR data concatenated in the order k_uu, k_ud, k_du, k_dd (k_uu alone
+    for Formulation 1).  Their structure is what the sparse chain ``bmat``,
+    ``.T.tocsr()``, row and column slices and ``tocsc`` builds from the
+    blocks, so the filled matrices equal that chain's output bit for bit.
+    """
+
+    unknown: np.ndarray
+    system: sp.csc_matrix
+    coupling: sp.csr_matrix
+    n_entries: int      # stored entries of the blocks, all together
+
+    def fill(self, data: np.ndarray):
+        """The system on the unknowns and its prescribed columns, negated,
+        from the concatenated block data."""
+        if data.size != self.n_entries:
+            raise ValueError("tangent blocks do not have the mesh's CSR "
+                             "patterns")
+        return (_with_data(self.system, data[self.system.data]),
+                _with_data(self.coupling, -data[self.coupling.data]))
+
+
+def _with_data(ids, data):
+    return type(ids)((data, ids.indices, ids.indptr), shape=ids.shape)
+
+
+def _adjoint_pattern(problem: Problem, formulation: int) -> AdjointPattern:
+    """Push entry ids through the sparse chain of the adjoint system, once
+    per Problem and formulation."""
+    mesh = problem.mesh
+    ndofe, nen = mesh.elem_udofs.shape[1], mesh.nodes_per_elem
+    widths = [(ndofe, ndofe)]
+    unknown = problem.free_dofs
+    if formulation == 2:
+        widths += [(ndofe, nen), (nen, ndofe), (nen, nen)]
+        unknown = np.concatenate([unknown,
+                                  mesh.n_udof + np.arange(mesh.n_nodes)])
+    ids = []
+    start = 0
+    for row_width, col_width in widths:
+        pattern = mesh.csr_pattern(row_width, col_width)
+        stop = start + pattern.indices.size
+        ids.append(sp.csr_matrix((np.arange(start, stop, dtype=float),
+                                  pattern.indices, pattern.indptr),
+                                 shape=pattern.shape))
+        start = stop
+    system = ids[0] if formulation == 1 else sp.bmat(
+        [ids[:2], ids[2:]], format="csr")
+    rows = system.T.tocsr()[unknown]
+    on_unknown = rows[:, unknown].tocsc().astype(np.intp)
+    on_pres = rows[:, problem.prescribed_dofs].astype(np.intp)
+    for matrix in (on_unknown, on_pres):
+        matrix.indices.flags.writeable = False
+        matrix.indptr.flags.writeable = False
+    return AdjointPattern(unknown=unknown, system=on_unknown,
+                          coupling=on_pres, n_entries=start)
+
+
 def adjoint_solve(blocks, du_full: np.ndarray, problem: Problem,
                   formulation: int = 2):
     """Solve the transposed tangent system with prescribed-DOF entries of
     the displacement adjoint pinned to du/2.
 
     Formulation 1 solves K_uu^T on the free DOFs, Formulation 2 the coupled
-    system on the free DOFs and every crack DOF.  Returns
-    (lambda_u, lambda_d); lambda_d is None for Formulation 1.
+    system on the free DOFs and every crack DOF.  The system is filled from
+    the blocks' CSR data through the ``AdjointPattern`` of the formulation,
+    kept in ``problem.adjoint_patterns``.  Returns (lambda_u, lambda_d);
+    lambda_d is None for Formulation 1.
     """
-    mesh = problem.mesh
-    pres = problem.prescribed_dofs
-    ku = mesh.n_udof
     if formulation == 1:
-        system = blocks.k_uu
-        unknown = problem.free_dofs
+        parts = [blocks.k_uu]
     elif formulation == 2:
-        system = sp.bmat([[blocks.k_uu, blocks.k_ud],
-                          [blocks.k_du, blocks.k_dd]], format="csr")
-        unknown = np.concatenate([problem.free_dofs,
-                                  ku + np.arange(mesh.n_nodes)])
+        parts = [blocks.k_uu, blocks.k_ud, blocks.k_du, blocks.k_dd]
     else:
         raise ValueError("formulation must be 1 or 2")
+    pattern = problem.adjoint_patterns.get(formulation)
+    if pattern is None:
+        pattern = _adjoint_pattern(problem, formulation)
+        problem.adjoint_patterns[formulation] = pattern
+    system, coupling = pattern.fill(
+        np.concatenate([part.data for part in parts]))
 
+    ku = problem.mesh.n_udof
+    pres = problem.prescribed_dofs
     pinned = 0.5 * du_full[pres]
-    lam = np.zeros(system.shape[0])
+    lam = np.zeros(ku + (problem.mesh.n_nodes if formulation == 2 else 0))
     lam[pres] = pinned
-    rows = system.T.tocsr()[unknown]
-    lam[unknown] = linear_solve(rows[:, unknown], -rows[:, pres] @ pinned)
+    lam[pattern.unknown] = linear_solve(system, coupling @ pinned)
     return lam[:ku], (lam[ku:] if formulation == 2 else None)
 
 

@@ -172,6 +172,38 @@ def test_exported_volume_ratio_matches_exported_field(outdir):
                                                             abs=1e-9)
 
 
+def test_run_exports_the_layout_it_returns(outdir, tmp_path, caplog):
+    # two outer iterations that remove material: the curves and the final
+    # snapshot are those of the returned layout, after the last update,
+    # the one the summary's optimized history is solved on
+    from fractop.config import build_problem, load_config
+    from fractop.levelset import volume_ratio
+
+    text = Path(CANTILEVER).read_text().replace(
+        "target_volume = 1.0",
+        "target_volume = 0.8\ntau_phi = 1.0\nmax_iterations = 2")
+    path = tmp_path / "carve.ini"
+    path.write_text(text)
+    caplog.set_level("INFO")
+    assert cli.main(["run", str(path)]) == 0
+    history = (outdir / "history.csv").read_text().splitlines()
+    assert len(history) == 3
+    chi_exported = float(history[-1].split(",")[2])
+
+    lines = (outdir / "final_0003.vtk").read_text().splitlines()
+    start = lines.index("SCALARS phi double 1") + 2
+    mesh = build_problem(load_config(path)).mesh
+    phi = np.array([float(v) for v in lines[start:start + mesh.n_nodes]])
+    assert chi_exported < 1.0
+    assert volume_ratio(mesh, phi) == pytest.approx(chi_exported, abs=1e-9)
+
+    curves = (outdir / "curves.csv").read_text().splitlines()[1:]
+    peak = max(abs(float(row.split(",")[2])) for row in curves)
+    assert "peak |reaction| " in caplog.text
+    assert caplog.text.split("peak |reaction| ")[1].split(" -> ")[1] \
+        .startswith(f"{peak:.4e}")
+
+
 def test_verify_sensitivity_elastic_fixture_passes(outdir):
     code = cli.main(["verify-sensitivity", CANTILEVER,
                      "--formulation", "1", "--delta", "1e-4",

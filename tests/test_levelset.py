@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
 from fractop import levelset as ls
 from fractop import mesh as fm
@@ -71,6 +72,11 @@ class TestVolumeRatio:
         assert ls.volume_ratio(mesh, phi + bump) >= ls.volume_ratio(mesh, phi)
 
 
+def rd_step(mesh, phi_m, velocity, params, pinned_nodes=()):
+    system = ls.reaction_diffusion_system(mesh, params, pinned_nodes)
+    return ls.solve_reaction_diffusion(system, phi_m, velocity)
+
+
 class TestReactionDiffusion:
     @pytest.fixture
     def mesh(self):
@@ -79,26 +85,22 @@ class TestReactionDiffusion:
     def test_zero_velocity_keeps_uniform_field(self, mesh):
         params = ls.TopoParams()
         phi = 0.37 * np.ones(mesh.n_nodes)
-        out = ls.solve_reaction_diffusion(mesh, phi, np.zeros(mesh.n_nodes),
-                                          params)
+        out = rd_step(mesh, phi, np.zeros(mesh.n_nodes), params)
         assert np.abs(out - phi).max() < 1e-10
 
     def test_uniform_velocity_shifts_by_tau_over_eta(self, mesh):
         params = ls.TopoParams(eta_phi=2.0, tau_phi=0.5)
         phi = 0.1 * np.ones(mesh.n_nodes)
         v0 = 0.8
-        out = ls.solve_reaction_diffusion(mesh, phi,
-                                          v0 * np.ones(mesh.n_nodes), params)
+        out = rd_step(mesh, phi, v0 * np.ones(mesh.n_nodes), params)
         assert np.abs(out - (0.1 + v0 * 0.5 / 2.0)).max() < 1e-10
 
     def test_clamped_to_bounds(self, mesh):
         params = ls.TopoParams(eta_phi=1.0, tau_phi=5.0)
         phi = np.ones(mesh.n_nodes)
-        out = ls.solve_reaction_diffusion(mesh, phi,
-                                          np.ones(mesh.n_nodes), params)
+        out = rd_step(mesh, phi, np.ones(mesh.n_nodes), params)
         assert out.max() <= 1.0
-        out = ls.solve_reaction_diffusion(mesh, -phi,
-                                          -np.ones(mesh.n_nodes), params)
+        out = rd_step(mesh, -phi, -np.ones(mesh.n_nodes), params)
         assert out.min() >= -1.0
 
     def test_checkerboard_velocity_smoothed_by_diffusion(self, mesh):
@@ -107,7 +109,7 @@ class TestReactionDiffusion:
         checker = np.where((mesh.coords[:, 0] * 4 + mesh.coords[:, 1] * 4)
                            .astype(int) % 2 == 0, 1.0, -1.0)
         phi = np.zeros(mesh.n_nodes)
-        out = ls.solve_reaction_diffusion(mesh, phi, checker, params)
+        out = rd_step(mesh, phi, checker, params)
         naive = np.clip(phi + checker * 1.0, -1, 1)
 
         def tv(field):
@@ -122,9 +124,8 @@ class TestReactionDiffusion:
         pinned = mesh.node_sets.setdefault(
             "pin", np.array([0, 1, 2]))
         phi = np.ones(mesh.n_nodes)
-        out = ls.solve_reaction_diffusion(mesh, phi,
-                                          -5 * np.ones(mesh.n_nodes), params,
-                                          pinned_nodes=pinned)
+        out = rd_step(mesh, phi, -5 * np.ones(mesh.n_nodes), params,
+                      pinned_nodes=pinned)
         assert np.all(out[pinned] == 1.0)
         free = np.setdiff1d(np.arange(mesh.n_nodes), pinned)
         assert out[free].min() < 0.0
@@ -133,7 +134,7 @@ class TestReactionDiffusion:
         params = ls.TopoParams(tau_phi=1.0)
         phi = np.ones(mesh.n_nodes)
         velocity = np.linspace(-1.0, 1.0, mesh.n_nodes)
-        first = ls.solve_reaction_diffusion(mesh, phi, velocity, params)
+        first = rd_step(mesh, phi, velocity, params)
         mass, laplace = mesh.mass_matrix, mesh.laplace_matrix
         calls = []
         assemble = fm.Mesh.assemble
@@ -143,16 +144,40 @@ class TestReactionDiffusion:
             return assemble(self, blocks)
 
         monkeypatch.setattr(fm.Mesh, "assemble", counted)
-        again = ls.solve_reaction_diffusion(mesh, phi, velocity, params)
+        again = rd_step(mesh, phi, velocity, params)
         assert calls == []
         assert mesh.mass_matrix is mass and mesh.laplace_matrix is laplace
         assert np.array_equal(again, first)
 
+    @pytest.mark.parametrize("pinned", [(), (0, 1, 2, 9)])
+    def test_factored_solve_gives_the_bytes_of_spsolve(self, mesh, pinned):
+        # one LU per system, then per trial the bytes of spsolve on the
+        # sliced system with the pinned columns moved to the right side
+        params = ls.TopoParams(eta_phi=1.0, l_phi=0.2, tau_phi=0.3)
+        rng = np.random.default_rng(7)
+        system = ls.reaction_diffusion_system(mesh, params, pinned)
+        for _ in range(3):
+            phi_m = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+            velocity = rng.normal(size=mesh.n_nodes)
+            coef = params.eta_phi / params.tau_phi
+            lhs = (coef * mesh.mass_matrix
+                   + params.l_phi ** 2 * mesh.laplace_matrix).tocsr()
+            rhs = mesh.mass_matrix @ (velocity + coef * phi_m)
+            pin = np.asarray(pinned, dtype=int)
+            free = np.setdiff1d(np.arange(mesh.n_nodes), pin)
+            ref = np.empty(mesh.n_nodes)
+            ref[pin] = 1.0
+            lhs_f = lhs[free]
+            ref[free] = spsolve(lhs_f[:, free].tocsc(),
+                                rhs[free] - lhs_f[:, pin] @ ref[pin])
+            ref = np.clip(ref, -1.0, 1.0)
+            out = ls.solve_reaction_diffusion(system, phi_m, velocity)
+            assert out.tobytes() == ref.tobytes()
+
     def test_nonfinite_velocity_rejected(self, mesh):
         with pytest.raises(FloatingPointError):
-            ls.solve_reaction_diffusion(mesh, np.ones(mesh.n_nodes),
-                                        np.full(mesh.n_nodes, np.inf),
-                                        ls.TopoParams())
+            rd_step(mesh, np.ones(mesh.n_nodes),
+                    np.full(mesh.n_nodes, np.inf), ls.TopoParams())
 
 
 def test_dirac_volume_vector_sums_to_weighted_volume():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,12 +174,24 @@ def test_scatter_and_assemble_match_a_dense_element_loop(dim, counts):
         for col_idx, n_cols in tables.values():
             blocks = rng.normal(size=(m.n_elems, row_idx.shape[1],
                                       col_idx.shape[1]))
+            blocks[1] = 0.0       # exact-zero blocks stay stored entries
             dense = np.zeros((n_rows, n_cols))
             for e in range(m.n_elems):
                 dense[np.ix_(row_idx[e], col_idx[e])] += blocks[e]
             csr = m.assemble(blocks)
             assert csr.shape == (n_rows, n_cols)
             assert np.abs(csr.toarray() - dense).max() <= 1e-14
+            # the pattern fill gives the bytes of COO -> CSR
+            ref = sp.coo_matrix(
+                (blocks.ravel(), fm.element_pairs(row_idx, col_idx)),
+                shape=(n_rows, n_cols)).tocsr()
+            for name in ("data", "indices", "indptr"):
+                assert getattr(csr, name).dtype == getattr(ref, name).dtype
+                assert np.array_equal(getattr(csr, name),
+                                      getattr(ref, name))
+            assert csr.nnz == len(set(zip(*fm.element_pairs(row_idx,
+                                                            col_idx))))
+            assert m.assemble(np.zeros_like(blocks)).nnz == csr.nnz
     assert m.assemble(np.ones((m.n_elems, dim * 2 ** dim, 2 ** dim))
                       ).shape == (m.n_udof, m.n_nodes)
     with pytest.raises(ValueError):

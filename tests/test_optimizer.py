@@ -82,11 +82,11 @@ class TestBisection:
         state.expected_volume = 0.7
         w = ls.dirac_volume_vector(mesh, state.phi, prob.l_delta)
 
+        system = ls.reaction_diffusion_system(mesh, topo, prob.driven_nodes)
+
         def chi_of(lam):
             v = sens.velocity_from_sensitivity(g_s + lam * w)
-            phi = ls.solve_reaction_diffusion(
-                mesh, state.phi, v, topo,
-                pinned_nodes=prob.driven_nodes)
+            phi = ls.solve_reaction_diffusion(system, state.phi, v)
             return ls.volume_ratio(mesh, phi)
 
         lams = np.logspace(-8, 8, 1601)
@@ -100,6 +100,29 @@ class TestBisection:
         assert diag["iterations"] <= 60
         # bisection lands within bracket resolution of the scan crossing
         assert lam == pytest.approx(lam_star, rel=0.05)
+
+    def test_one_factorization_per_bisection(self, monkeypatch):
+        # the level-set matrix is the same for every trial of one call, so
+        # it is factored once however many trials the bracket takes
+        prob = self.make_toy()
+        topo = ls.TopoParams(eta_phi=1.0, l_phi=0.1, tau_phi=1.0)
+        settings = opt.OptimizationSettings(target_volume=0.4, r_min=0.5)
+        factored = []
+        splu = ls.splu
+
+        def counted(matrix):
+            factored.append(matrix.shape)
+            return splu(matrix)
+
+        monkeypatch.setattr(ls, "splu", counted)
+        for expected in (0.8, 0.6):
+            factored.clear()
+            state = opt.OptimizerState(phi=np.ones(prob.mesh.n_nodes))
+            state.expected_volume = expected
+            g_s = -1e-4 * np.ones(prob.mesh.n_nodes)
+            _, _, diag = opt.bisection_step(prob, state, g_s, topo, settings)
+            assert diag["iterations"] > 1
+            assert len(factored) == 1
 
     def test_bracket_invariant_held(self):
         prob = self.make_toy()

@@ -1,15 +1,21 @@
 import copy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
+from fractop import config
 from fractop import forward as fwd
 from fractop import material as mat
 from fractop import mesh as fm
 from fractop import sensitivity as sens
 
 from conftest import make_cantilever
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def sweep_of(prob, fields, qstate_prev):
@@ -161,6 +167,93 @@ class TestAdjointSolve:
         assert (blocks.k_ud, blocks.k_du, blocks.k_dd) == (None, None, None)
         sens.adjoint_sweep(prob, traj, 2)
         assert len(calls) == traj.n_steps
+
+
+def shipped(name, **changes):
+    cfg = replace(config.load_config(CONFIG_DIR / name), **changes)
+    prob = config.build_problem(cfg)
+    return prob, fwd.run_load_history(prob, cfg.steps,
+                                      cfg.displacement_per_step, cfg.solver)
+
+
+@pytest.fixture(scope="module")
+def strip_and_block():
+    # the plastic, cracked 12x4 ductile strip at 25 steps and the elastic
+    # hexahedral block
+    return {"strip": shipped("ductile_strip2d.ini", counts=(12, 4),
+                             steps=25),
+            "block": shipped("block3d_elastic.ini")}
+
+
+class TestAdjointSystemFill:
+    @pytest.mark.parametrize("case", ["strip", "block"])
+    @pytest.mark.parametrize("formulation", [1, 2])
+    def test_adjoints_have_the_bytes_of_the_sparse_chain(
+            self, strip_and_block, case, formulation):
+        # reference: the system built per step by bmat, a transpose, the
+        # row and column slices and spsolve
+        prob, traj = strip_and_block[case]
+        if case == "strip":
+            assert traj.qstates[-1].alpha.max() > 0.0
+            assert traj.fields[-1].d.max() > fwd.ONSET_CRACK
+        ku = prob.mesh.n_udof
+        pres = prob.prescribed_dofs
+        for n in range(1, traj.n_steps + 1):
+            blocks = fwd.assemble_tangent_blocks(
+                prob, sweep_of(prob, traj.fields[n], traj.qstates[n - 1]),
+                traj.qstates[n - 1], formulation)
+            du = traj.fields[n].u - traj.fields[n - 1].u
+            lam_u, lam_d = sens.adjoint_solve(blocks, du, prob, formulation)
+
+            if formulation == 1:
+                system = blocks.k_uu
+                unknown = prob.free_dofs
+            else:
+                system = sp.bmat([[blocks.k_uu, blocks.k_ud],
+                                  [blocks.k_du, blocks.k_dd]], format="csr")
+                unknown = np.concatenate(
+                    [prob.free_dofs, ku + np.arange(prob.mesh.n_nodes)])
+            pinned = 0.5 * du[pres]
+            lam = np.zeros(system.shape[0])
+            lam[pres] = pinned
+            rows = system.T.tocsr()[unknown]
+            lam[unknown] = spsolve(rows[:, unknown].tocsc(),
+                                   -rows[:, pres] @ pinned)
+            assert lam_u.tobytes() == lam[:ku].tobytes()
+            if formulation == 2:
+                assert lam_d.tobytes() == lam[ku:].tobytes()
+            else:
+                assert lam_d is None
+
+    @pytest.mark.parametrize("formulation", [1, 2])
+    def test_no_bmat_or_coo_conversion_after_the_first_step(
+            self, monkeypatch, formulation):
+        # the patterns are built while step 1 is solved; later steps only
+        # gather into them
+        prob = make_cantilever()
+        traj = fwd.run_load_history(prob, 3, -1e-3, fwd.SolverSettings())
+        calls = {"bmat": 0, "coo_tocsr": 0}
+        at_step = []
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        def opening(*args, **kwargs):
+            at_step.append(dict(calls))
+            return fwd.constitutive_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "bmat", counted("bmat", sp.bmat))
+        monkeypatch.setattr(sp._coo._coo_base, "tocsr",
+                            counted("coo_tocsr", sp._coo._coo_base.tocsr))
+        monkeypatch.setattr(sens, "constitutive_sweep", opening)
+        sens.adjoint_sweep(prob, traj, formulation)
+        assert at_step[0] == {"bmat": 0, "coo_tocsr": 0}
+        assert at_step[1]["coo_tocsr"] > 0
+        assert at_step[1]["bmat"] == (1 if formulation == 2 else 0)
+        assert at_step[1] == at_step[2] == calls
 
 
 class TestResidualPhiDerivative:
