@@ -6,6 +6,9 @@ either a settings object of the solvers (``MaterialParams``, ``TopoParams``,
 ``SolverSettings``, ``OptimizationSettings``) or the run-level ``RunConfig``
 and its load ``RegionSpec``.  A key left out of the file takes the default
 that its dataclass declares (``[topology] l_delta`` that of ``Problem``).
+The solvers' tolerances are module constants (``forward.NEWTON_TOL_ABS``
+and its siblings, ``optimizer.VOLUME_TOL``, ``optimizer.STAGNATION_TOL``),
+not keys: a file that sets one fails as an unknown key.
 Two defaults belong to the configuration itself, because
 ``OptimizationSettings`` holds none for them: ``r_min = 3 * length_scale``
 and ``target_volume = 1``.  ``RunConfig`` owns the load history (``steps``,
@@ -116,9 +119,6 @@ _SCHEMA = (
     ("topology", "formulation", OptimizationSettings, "formulation", int),
     ("topology", "max_iterations", OptimizationSettings,
      "max_outer_iterations", int),
-    ("topology", "volume_tol", OptimizationSettings, "volume_tol", float),
-    ("topology", "stagnation_tol", OptimizationSettings, "stagnation_tol",
-     float),
     ("topology", "velocity_cap", OptimizationSettings, "velocity_cap",
      float),
     ("loading", "load_box", RegionSpec, "box", _floats),
@@ -128,10 +128,6 @@ _SCHEMA = (
     ("loading", "steps", RunConfig, "steps", int),
     ("loading", "tau_f", MaterialParams, "tau_f", float),
     ("loading", "body_force", RunConfig, "body_force", _floats),
-    ("solver", "newton_tol_abs", SolverSettings, "newton_tol_abs", float),
-    ("solver", "newton_tol_rel", SolverSettings, "newton_tol_rel", float),
-    ("solver", "newton_max_iter", SolverSettings, "newton_max_iter", int),
-    ("solver", "stagger_tol", SolverSettings, "stagger_tol", float),
     ("solver", "stagger_max_iter", SolverSettings, "stagger_max_iter", int),
     ("output", "directory", RunConfig, "output_dir", str),
     ("output", "snapshot_cadence", RunConfig, "snapshot_cadence", int),

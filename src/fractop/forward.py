@@ -10,8 +10,9 @@ summed into global vectors and matrices by ``Mesh.scatter`` and
 ``Mesh.voigt_rows``.
 
 The ``Problem`` alone defines the residual, the crack field's viscous term
-(eta_f / tau_f)(d - d_prev) included; ``SolverSettings`` holds only the
-stopping rules and caps of the Newton and staggered loops.
+(eta_f / tau_f)(d - d_prev) included.  The stopping rules of the Newton and
+staggered loops are the module constants below; ``SolverSettings`` holds
+only the cap on staggered passes, the one rule that configurations vary.
 
 The two forward systems, K_uu on the free DOFs (Newton) and K_dd (crack
 solve), are symmetric positive definite.  They are assembled straight into
@@ -59,6 +60,14 @@ log = logging.getLogger("fractop")
 
 ONSET_CRACK = 0.1   # crack field value that marks fracture onset
 
+# Newton on u stops at |R_u| <= max(NEWTON_TOL_ABS, NEWTON_TOL_REL |R_u^0|)
+NEWTON_TOL_ABS = 1e-10
+NEWTON_TOL_REL = 1e-8
+NEWTON_MAX_ITER = 25
+# a staggered pass converges at |R| <= max(STAGGER_TOL |R^1|, STAGGER_TOL_ABS)
+STAGGER_TOL = 1e-6
+STAGGER_TOL_ABS = 1e-11
+
 
 class SolverError(RuntimeError):
     """Raised when a linear or nonlinear solve fails to produce a usable
@@ -72,23 +81,13 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Stopping rules and iteration caps of the Newton and staggered loops
-    only; the ``Problem`` defines the residual they drive to zero."""
+    """Cap on the staggered passes of one load step; the other stopping
+    rules are module constants, and the ``Problem`` defines the residual
+    they drive to zero."""
 
-    newton_tol_abs: float = 1e-10
-    newton_tol_rel: float = 1e-8
-    newton_max_iter: int = 25
-    stagger_tol: float = 1e-6
-    stagger_tol_abs: float = 1e-11
     stagger_max_iter: int = 200
 
     def __post_init__(self):
-        for name in ("newton_tol_abs", "newton_tol_rel", "stagger_tol",
-                     "stagger_tol_abs"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.newton_max_iter < 0:
-            raise ValueError("newton_max_iter must be >= 0")
         if self.stagger_max_iter < 1:
             raise ValueError("stagger_max_iter must be >= 1")
 
@@ -564,7 +563,7 @@ def solve_crack_field(problem: Problem, d_prev, history_qp, phi_qp):
 
 
 def newton_displacement(problem: Problem, fields: FieldSet,
-                        qstate_prev: QuadState, settings: SolverSettings):
+                        qstate_prev: QuadState):
     """Newton iteration for the displacement field at fixed d and phi.
 
     ``fields.u`` must already carry the prescribed values; only free DOFs
@@ -581,16 +580,16 @@ def newton_displacement(problem: Problem, fields: FieldSet,
     u = fields.u
     ref = None
     corrections = 0
-    for it in range(settings.newton_max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         result, _, _ = constitutive_sweep(problem, u, fields.d, fields.phi,
                                           qstate_prev)
         residual = assemble_ru(problem, result)
         rnorm = np.linalg.norm(residual[free]) if free.size else 0.0
         if ref is None:
-            ref = max(rnorm, settings.newton_tol_abs)
-        if rnorm <= max(settings.newton_tol_abs, settings.newton_tol_rel * ref):
+            ref = max(rnorm, NEWTON_TOL_ABS)
+        if rnorm <= max(NEWTON_TOL_ABS, NEWTON_TOL_REL * ref):
             return result, residual, corrections, it
-        if it == settings.newton_max_iter:
+        if it == NEWTON_MAX_ITER:
             break
         band = problem.uu_band
         k_uu = band.assemble(_kuu_blocks(problem, result))
@@ -634,7 +633,7 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
         fields.u[problem.prescribed_dofs] = 0.0
         fields.u[problem.driven_dofs] = load_value
         result, residual, corr, nit = newton_displacement(
-            problem, fields, qstate_prev, settings)
+            problem, fields, qstate_prev)
         stats.newton_corrections += corr
         stats.newton_iterations += nit
         stats.stagger_iterations = k
@@ -651,9 +650,8 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
                + np.linalg.norm(rd))
         stats.residual = res
         if ref is None:
-            ref = max(res, settings.stagger_tol_abs)
-        converged = res <= max(settings.stagger_tol * ref,
-                               settings.stagger_tol_abs)
+            ref = max(res, STAGGER_TOL_ABS)
+        converged = res <= max(STAGGER_TOL * ref, STAGGER_TOL_ABS)
         if not converged and u_last is not None:
             # the alternation has hit the fixed point the inner solves can
             # deliver; further passes cannot reduce the residual
@@ -699,8 +697,10 @@ def run_load_history(problem: Problem, n_steps: int, du_per_step: float,
             err.partial_trajectory = traj
             raise
         reaction = float(fields.p_u[problem.driven_dofs].sum())
-        traj.fields.append(fields.copy())
-        traj.qstates.append(qstate.copy())
+        # staggered_step returns a fresh FieldSet and QuadState, and
+        # nothing mutates them later, so each level is stored once
+        traj.fields.append(fields)
+        traj.qstates.append(qstate)
         traj.load_factor.append(load)
         traj.reaction.append(reaction)
         traj.stats.append(stats)

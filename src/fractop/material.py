@@ -222,14 +222,14 @@ def return_map(eps_total: np.ndarray, state_n: QuadState, d, phi,
 
     eps_e_tr = eps - state_n.eps_p
     s_tr = 2.0 * mu * deviator(eps_e_tr)       # effective trial deviator
-    q_tr = np.sqrt(1.5) * tensor_norm(s_tr)
+    norm_s = tensor_norm(s_tr)
+    q_tr = np.sqrt(1.5) * norm_s
     beta_eff = q_tr - (params.yield_stress + h * state_n.alpha)
 
     solid = phi >= 0.0                          # Remark: void points are elastic
     plastic = (beta_eff > 0.0) & solid
     dlam = np.where(plastic, beta_eff / (3.0 * mu + h), 0.0)
 
-    norm_s = tensor_norm(s_tr)
     safe = np.where(norm_s > 0.0, norm_s, 1.0)
     nhat = s_tr / safe[..., None]
     nhat = np.where(plastic[..., None], nhat, 0.0)
@@ -258,23 +258,24 @@ def return_map(eps_total: np.ndarray, state_n: QuadState, d, phi,
                         sigma_eff=sigma_eff, sigma_plus=sig_plus, psi_p=psi_p,
                         nhat=nhat, fphi=fphi,
                         tangent_args=(params, fphi, gd, hplus, plastic, dlam,
-                                      eps_e))
+                                      dev_e))
 
 
-def tangent_moduli(params, fphi, gd, hplus, plastic, dlam, eps_e):
+def tangent_moduli(params, fphi, gd, hplus, plastic, dlam, dev_e):
     """Scalars (a, b, c) of the degraded consistent tangent
     C = a (1 x 1) + b P_dev + c (n x n), in engineering Voigt form.
 
     a carries the bulk modulus through the tension/compression split, b the
     (plastically reduced) shear modulus and c the radial-return correction
     along the flow direction n; c is 0 wherever the point is elastic.
+    ``dev_e`` is the deviator of the elastic strain after the return.
     """
     k = params.bulk_modulus
     mu = params.shear_modulus
     h = params.hardening_modulus
 
     # delta_1 = dlam / (sqrt(3/2)|s_dev| + 3 mu dlam) = dlam / q_trial
-    s_dev = 2.0 * mu * deviator(eps_e)
+    s_dev = 2.0 * mu * dev_e
     q_post = np.sqrt(1.5) * tensor_norm(s_dev)
     denom = q_post + 3.0 * mu * dlam
     guard = (denom > 0.0) & plastic
@@ -288,9 +289,9 @@ def tangent_moduli(params, fphi, gd, hplus, plastic, dlam, eps_e):
     return a, b, c
 
 
-def _tangent(params, fphi, gd, hplus, plastic, dlam, eps_e, nhat):
+def _tangent(params, fphi, gd, hplus, plastic, dlam, dev_e, nhat):
     """Degraded consistent tangent in engineering Voigt form: the three
     ``tangent_moduli`` composed into (..., 6, 6)."""
-    a, b, c = tangent_moduli(params, fphi, gd, hplus, plastic, dlam, eps_e)
+    a, b, c = tangent_moduli(params, fphi, gd, hplus, plastic, dlam, dev_e)
     return (a[..., None, None] * _J_VOL + b[..., None, None] * P_DEV
             + c[..., None, None] * np.einsum("...i,...j->...ij", nhat, nhat))

@@ -4,7 +4,10 @@ the volume Lagrange multiplier and the termination rule.
 Each outer iteration re-runs the full load history on the current topology
 (path history is invalid after a topology change), sweeps the adjoints,
 filters the solid sensitivity and then brackets the volume multiplier until
-the expected-volume target of the iteration is met.
+the expected-volume target of the iteration is met: one bisection per outer
+iteration, with the level-set pseudo-time step annealed once the final
+volume has been reached.  The stopping rules of the bisection and of the
+outer loop are the module constants below.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ log = logging.getLogger("fractop")
 
 BISECTION_TOL = 1e-3      # relative change of the multiplier at which to stop
 BISECTION_MAX_ITER = 60
+VOLUME_TOL = 1e-2         # |chi - target| at which the volume constraint holds
+STAGNATION_TOL = 1e-4     # relative change of J that counts as stalled
 STAGNATION_WINDOW = 3     # stalled outer iterations that end the loop
 
 
@@ -32,8 +37,6 @@ class OptimizationSettings:
     r_min: float
     theta_v: float = 0.05
     formulation: int = 2
-    stagnation_tol: float = 1e-4
-    volume_tol: float = 1e-2
     max_outer_iterations: int = 300
     n_steps: int = 1
     du_per_step: float = 0.0
@@ -50,9 +53,6 @@ class OptimizationSettings:
             raise ValueError("r_min must be positive")
         if not 0.0 < self.theta_v <= 1.0:
             raise ValueError("theta_v must lie in (0, 1]")
-        for name in ("volume_tol", "stagnation_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be >= 1")
         if not self.velocity_cap >= 0:
@@ -126,7 +126,7 @@ def bisection_step(problem: Problem, state: OptimizerState,
     # granularity of chi can exceed the shrinking per-iteration quota, so
     # the reference switches to the final fraction to let the loop finish.
     endgame = (abs(state.expected_volume - settings.target_volume)
-               <= 2.0 * settings.volume_tol)
+               <= 2.0 * VOLUME_TOL)
     chi_ref = settings.target_volume if endgame else state.expected_volume
     best = None
     for k in range(1, BISECTION_MAX_ITER + 1):
@@ -169,8 +169,9 @@ def run_optimization(problem: Problem, topo: TopoParams,
                      settings: OptimizationSettings,
                      solver: SolverSettings = None,
                      callback=None) -> OptimizationResult:
-    """Full outer loop; terminates when the objective stalls for the
-    stagnation window while the volume constraint is met."""
+    """Full outer loop; terminates when the objective stalls
+    (``STAGNATION_TOL``) for ``STAGNATION_WINDOW`` iterations while the
+    volume constraint is met (``VOLUME_TOL``)."""
     mesh = problem.mesh
     state = OptimizerState(phi=np.ones(mesh.n_nodes))
     kernel = filtering.build_kernel(mesh, settings.r_min)
@@ -213,10 +214,6 @@ def run_optimization(problem: Problem, topo: TopoParams,
             expected_volumes.append(state.expected_volume)
             if reached_target:
                 tau_eff = max(0.7 * tau_eff, 1e-3 * topo.tau_phi)
-                if (abs(chi_prev - settings.target_volume)
-                        > 2 * settings.volume_tol):
-                    tau_eff = topo.tau_phi   # drifted out: re-enable motion
-            topo_eff = replace(topo, tau_phi=tau_eff)
             if (settings.target_volume >= 1.0
                     and chi_prev <= settings.target_volume):
                 # constraint already met with nothing to remove
@@ -224,24 +221,9 @@ def run_optimization(problem: Problem, topo: TopoParams,
                 diag = {"iterations": 0, "converged": True, "chi": chi_prev,
                         "bracket_ok": True}
             else:
-                # retry with a boosted pseudo-time step until candidates
-                # reach the expected volume when the level-set step is too
-                # small to carve the quota out of a (near-)saturated field
-                boost = 1.0
-                while True:
-                    trial_topo = replace(topo_eff,
-                                         tau_phi=boost * topo_eff.tau_phi)
-                    phi_new, lam, diag = bisection_step(problem, state, g_hat,
-                                                        trial_topo, settings)
-                    quota_missed = (
-                        diag["chi"] - state.expected_volume
-                        > settings.volume_tol
-                        and diag["chi"] - settings.target_volume
-                        > settings.volume_tol)
-                    if not quota_missed or boost >= 32.0:
-                        break
-                    boost *= 2.0
-                state.phi = phi_new
+                state.phi, lam, diag = bisection_step(
+                    problem, state, g_hat, replace(topo, tau_phi=tau_eff),
+                    settings)
             bracket_ok = bracket_ok and diag["bracket_ok"]
             state.lambda_v = lam
             state.objective_history.append(objective)
@@ -260,12 +242,12 @@ def run_optimization(problem: Problem, topo: TopoParams,
                 callback(rec, state)
 
             volume_ok = abs(diag["chi"] - settings.target_volume) \
-                <= settings.volume_tol
+                <= VOLUME_TOL
             reached_target = reached_target or volume_ok
             if len(state.objective_history) >= 2:
                 prev = state.objective_history[-2]
                 denom = max(abs(objective), 1e-14)
-                if abs(objective - prev) / denom < settings.stagnation_tol:
+                if abs(objective - prev) / denom < STAGNATION_TOL:
                     stagnant += 1
                 else:
                     stagnant = 0

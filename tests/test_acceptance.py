@@ -19,7 +19,7 @@ from fractop import verify
 from fractop.config import build_problem, load_config, optimization_settings
 from fractop.forward import run_load_history
 from fractop.levelset import heaviside_exact, TopoParams
-from fractop.optimizer import OptimizerState, bisection_step, \
+from fractop.optimizer import VOLUME_TOL, OptimizerState, bisection_step, \
     run_optimization
 from fractop import sensitivity as sens
 from fractop import filtering
@@ -192,7 +192,7 @@ def test_criterion_07_volume_schedule(bend_run):
     chis = [r.volume_ratio for r in res.records]
     target = bend_run.settings.target_volume
     arrival = next(i for i, c in enumerate(chis)
-                   if abs(c - target) <= bend_run.settings.volume_tol)
+                   if abs(c - target) <= VOLUME_TOL)
     errors = [abs(c - e)
               for c, e in zip(chis[:arrival], res.expected_volumes[:arrival])]
     assert max(errors) <= 1e-2

@@ -191,7 +191,7 @@ class TestRunOptimization:
         # volume follows the expected-volume schedule until the target is hit
         chis = [r.volume_ratio for r in res.records]
         arrival = next(i for i, c in enumerate(chis)
-                       if abs(c - 0.5) <= settings.volume_tol)
+                       if abs(c - 0.5) <= opt.VOLUME_TOL)
         err = [abs(c - e)
                for c, e in zip(chis[:arrival], res.expected_volumes[:arrival])]
         assert max(err) <= 1e-2
