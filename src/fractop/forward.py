@@ -16,7 +16,9 @@ only the cap on staggered passes, the one rule that configurations vary.
 
 The two forward systems, K_uu on the free DOFs (Newton) and K_dd (crack
 solve), are symmetric positive definite.  They are assembled straight into
-LAPACK lower band storage and solved by banded Cholesky.  The band is narrow
+LAPACK lower band storage and solved by banded Cholesky, LAPACK ``pbsv``
+looked up once at import and called without ``solveh_banded``'s per-call
+checks (same routine, same bits).  The band is narrow
 because the nodes are ordered along the grid's short axes first; each
 Problem builds that ordering and the scatter into the band once, on first
 use.  The adjoint systems (unsymmetric for Formulation 2) stay sparse and go
@@ -39,6 +41,21 @@ The solid/void transition f(phi) is chosen once per problem:
 sensitivity check does (``verify``).  Every solve on a problem therefore
 sees one transition; the constitutive sweep stores it on the
 ``StressResult`` (``fphi``) and the assembly reads it from there.
+
+What phi fixes is computed once per topology: ``Problem.layout`` returns
+phi and f(phi) at the quadrature points and the l_f^2 f(phi) grad N . grad N
+term of the K_dd element blocks (``TopologyLayout``).  A load history builds
+it once and passes it to every sweep and crack assembly; an adjoint sweep
+does the same.  It is passed, never cached on the Problem, because the
+finite-difference arm's regularized copy shares the Problem's caches.
+
+Within a staggered pass the end-of-pass residual and the next pass's crack
+solve read one ``crack_operator`` (K_dd element blocks and crack load) of
+the same history.  A load history also skips a step's opening constitutive
+sweep after a level with no plastic increment: the sweep would repeat that
+level's last one, so its tentative history is the committed history
+(``run_load_history``).  None of this moves a value: every committed state
+equals, bit for bit, what the sweeps and operators computed afresh give.
 """
 
 from __future__ import annotations
@@ -49,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solveh_banded
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import spsolve
 
 from . import material as mat
@@ -67,6 +84,10 @@ NEWTON_MAX_ITER = 25
 # a staggered pass converges at |R| <= max(STAGGER_TOL |R^1|, STAGGER_TOL_ABS)
 STAGGER_TOL = 1e-6
 STAGGER_TOL_ABS = 1e-11
+
+# LAPACK's banded Cholesky solve, the routine ``scipy.linalg.solveh_banded``
+# calls for a band of three or more rows, looked up once
+_PBSV, = get_lapack_funcs(("pbsv",), dtype=np.float64)
 
 
 class SolverError(RuntimeError):
@@ -220,6 +241,18 @@ class Problem:
         return mat.transition_f(phi_qp, self.params.kappa,
                                 self.l_delta if self.regularized else None)
 
+    def layout(self, phi) -> "TopologyLayout":
+        """What the nodal topological field ``phi`` fixes for every solve on
+        it; see ``TopologyLayout``."""
+        mesh = self.mesh
+        gg = self.operators.gg
+        phi_qp = mesh.interpolate(phi)
+        fphi = self.transition(phi_qp)
+        gradw = mesh.w_detj * self.params.l_f ** 2 * fphi
+        kdd_grad = (gradw[:, None, :]
+                    @ gg.reshape(mesh.n_elems, gg.shape[1], -1))[:, 0]
+        return TopologyLayout(phi_qp=phi_qp, fphi=fphi, kdd_grad=kdd_grad)
+
     @cached_property
     def uu_band(self) -> "BandPattern":
         """Band pattern of K_uu on the free DOFs, built on first use."""
@@ -240,6 +273,23 @@ class Problem:
         return _element_operators(self.mesh)
 
 
+@dataclass(frozen=True)
+class TopologyLayout:
+    """The parts of the forward and adjoint systems that depend on the
+    topological field alone, built by ``Problem.layout`` once per load
+    history or adjoint sweep.
+
+    ``phi_qp`` is phi at the quadrature points, ``fphi`` the transition
+    f(phi) the problem picks there, and ``kdd_grad[e]`` the flattened
+    gradient term sum_q w l_f^2 f(phi) grad N_a . grad N_b of the element
+    K_dd blocks.
+    """
+
+    phi_qp: np.ndarray
+    fphi: np.ndarray
+    kdd_grad: np.ndarray
+
+
 # ---------------------------------------------------------------------------
 # kinematics and constitutive sweep
 # ---------------------------------------------------------------------------
@@ -253,16 +303,19 @@ def strain_tensor6(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def constitutive_sweep(problem: Problem, u, d, phi, qstate_prev: QuadState):
-    """Return-map every quadrature point at the given nodal fields."""
+def constitutive_sweep(problem: Problem, u, d, layout: TopologyLayout,
+                       qstate_prev: QuadState):
+    """Return-map every quadrature point at the nodal fields ``u`` and ``d``
+    on ``layout``.  Returns the result, the crack field at the points and
+    the layout: the triple, a *sweep*, that the tangent and dR/dPhi
+    assemblies read."""
     mesh = problem.mesh
     eps = strain_tensor6(mesh, u)
     d_qp = mesh.interpolate(np.clip(d, 0.0, 1.0))
     d_qp = np.clip(d_qp, 0.0, 1.0)
-    phi_qp = mesh.interpolate(phi)
-    result = mat.return_map(eps, qstate_prev, d_qp, phi_qp, problem.params,
-                            fphi=problem.transition(phi_qp))
-    return result, d_qp, phi_qp
+    result = mat.return_map(eps, qstate_prev, d_qp, layout.phi_qp,
+                            problem.params, fphi=layout.fphi)
+    return result, d_qp, layout
 
 
 def driving_energy(result: mat.StressResult):
@@ -412,16 +465,27 @@ def _kuu_blocks(problem: Problem, result: mat.StressResult):
     return blocks
 
 
-def assemble_rd(problem: Problem, d, d_prev, history_qp, phi_qp):
-    """Crack-field residual K_dd d - load, one element block at a time.
+def crack_operator(problem: Problem, d_prev, history_qp,
+                   layout: TopologyLayout):
+    """Element matrices (n_elems, nen, nen) and load vectors (n_elems, nen)
+    of the crack-field system K_dd d = load at one history and ``d_prev``.
+    A staggered pass builds them once for its end-of-pass residual and the
+    next pass's crack solve."""
+    return (_kdd_blocks(problem, history_qp, layout),
+            _crack_load(problem, d_prev, history_qp))
+
+
+def assemble_rd(problem: Problem, d, operator):
+    """Crack-field residual K_dd d - load of a ``crack_operator``, one
+    element block at a time.
 
     Residual form: [(1-kappa)(d-1)H + d + (eta_f/tau_f)(d - d_prev)] N
     + l_f^2 f(phi) grad d . grad N.
     """
     mesh = problem.mesh
-    blocks = _kdd_blocks(problem, history_qp, phi_qp)
+    blocks, load = operator
     contrib = (blocks @ d[mesh.conn][..., None])[..., 0]
-    contrib -= _crack_load(problem, d_prev, history_qp)
+    contrib -= load
     return mesh.scatter(contrib)
 
 
@@ -435,18 +499,17 @@ def _crack_load(problem: Problem, d_prev, history_qp):
     return (mesh.w_detj * source) @ mesh.shape_n
 
 
-def _kdd_blocks(problem: Problem, history_qp, phi_qp):
+def _kdd_blocks(problem: Problem, history_qp, layout: TopologyLayout):
     """Element matrices (n_elems, nen, nen) of the crack-field system."""
     mesh = problem.mesh
     p = problem.params
-    ops = problem.operators
+    nn = problem.operators.nn
     visc = p.eta_f / p.tau_f
-    gradw = mesh.w_detj * p.l_f ** 2 * problem.transition(phi_qp)
     react = (1.0 - p.kappa) * history_qp + 1.0 + visc
 
-    nq, nen, _ = ops.nn.shape
-    blocks = (mesh.w_detj * react) @ ops.nn.reshape(nq, -1)
-    blocks += (gradw[:, None, :] @ ops.gg.reshape(-1, nq, nen * nen))[:, 0]
+    nq, nen, _ = nn.shape
+    blocks = (mesh.w_detj * react) @ nn.reshape(nq, -1)
+    blocks += layout.kdd_grad
     return blocks.reshape(-1, nen, nen)
 
 
@@ -501,12 +564,12 @@ def assemble_tangent_blocks(problem: Problem, sweep, qstate_prev: QuadState,
     """Re-assemble the tangent that the adjoint of ``formulation`` solves at
     a committed trajectory state from its constitutive sweep, the return
     value of ``constitutive_sweep`` on that state and ``qstate_prev``."""
-    result, d_qp, phi_qp = sweep
+    result, d_qp, layout = sweep
     k_uu = problem.mesh.assemble(_kuu_blocks(problem, result))
     if formulation == 1:
         return TangentBlocks(k_uu=k_uu)
     history_qp = tentative_history(problem, result, qstate_prev)
-    k_dd = problem.mesh.assemble(_kdd_blocks(problem, history_qp, phi_qp))
+    k_dd = problem.mesh.assemble(_kdd_blocks(problem, history_qp, layout))
     k_ud, k_du = assemble_coupling_blocks(problem, result, qstate_prev, d_qp)
     return TangentBlocks(k_uu=k_uu, k_ud=k_ud, k_du=k_du, k_dd=k_dd)
 
@@ -520,9 +583,10 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
 
     - ``matrix`` an ndarray: the lower band of a symmetric positive definite
       matrix, as ``BandPattern.assemble`` returns it, solved by banded
-      Cholesky (LAPACK ``pbsv``).  The forward solves take this path: K_uu
-      on the free DOFs in Newton and K_dd in the crack solve.  A band that
-      is not positive definite raises SolverError; there is no LU fallback.
+      Cholesky (LAPACK ``pbsv``, called directly; the band is left as it
+      is).  The forward solves take this path: K_uu on the free DOFs in
+      Newton and K_dd in the crack solve.  A band that is not positive
+      definite raises SolverError; there is no LU fallback.
     - ``matrix`` a scipy sparse matrix: solved by sparse LU (SuperLU),
       ``spsolve`` on its CSC form.  The adjoint solves take this path,
       since the Formulation-2 system is unsymmetric; they pass the CSC
@@ -531,11 +595,12 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     if rhs.size == 0:
         return np.zeros(0)
     if isinstance(matrix, np.ndarray):
-        try:
-            sol = solveh_banded(matrix, rhs, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as err:
+        _, sol, info = _PBSV(matrix, rhs, lower=True)
+        if info > 0:
             raise SolverError(f"banded Cholesky failed, matrix not positive "
-                              f"definite: {err}") from err
+                              f"definite: {info}th leading minor")
+        if info < 0:
+            raise SolverError(f"banded Cholesky rejected argument {-info}")
     else:
         sol = spsolve(matrix.tocsc(), rhs)
     if not np.all(np.isfinite(sol)):
@@ -544,17 +609,19 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def solve_crack_field(problem: Problem, d_prev, history_qp, phi_qp):
-    """One linear solve of the crack-field equation (it is linear in d for a
-    fixed history), projected onto [d_prev, 1] so the crack never heals.
+def solve_crack_field(problem: Problem, d_prev, operator):
+    """One linear solve of the crack-field equation of a ``crack_operator``
+    (it is linear in d for a fixed history), projected onto [d_prev, 1] so
+    the crack never heals.
 
     Returns the projected field and the overshoot of the unconstrained solve
     past those bounds, ``max(d - 1, d_prev - d, 0)``; it is nonzero exactly
     when the projection changed a value."""
     mesh = problem.mesh
     band = problem.dd_band
-    load = mesh.scatter(_crack_load(problem, d_prev, history_qp))
-    k_dd = band.assemble(_kdd_blocks(problem, history_qp, phi_qp))
+    blocks, element_load = operator
+    load = mesh.scatter(element_load)
+    k_dd = band.assemble(blocks)
     d_new = np.empty(mesh.n_nodes)
     d_new[band.order] = linear_solve(k_dd, load[band.order])
     overshoot = max(float(np.max(d_new) - 1.0), float(np.max(d_prev - d_new)),
@@ -563,13 +630,13 @@ def solve_crack_field(problem: Problem, d_prev, history_qp, phi_qp):
 
 
 def newton_displacement(problem: Problem, fields: FieldSet,
-                        qstate_prev: QuadState):
+                        layout: TopologyLayout, qstate_prev: QuadState):
     """Newton iteration for the displacement field at fixed d and phi.
 
     ``fields.u`` must already carry the prescribed values; only free DOFs
     are updated.  Returns the constitutive result, the converged full
     residual and iteration diagnostics.  The returned result is the sweep
-    at the returned ``fields.u`` with ``fields.d``, ``fields.phi`` and
+    at the returned ``fields.u`` with ``fields.d``, ``layout`` and
     ``qstate_prev``, so a caller at those same fields may reuse it.
 
     Each iteration builds the residual first and K_uu (with the tangent
@@ -581,7 +648,7 @@ def newton_displacement(problem: Problem, fields: FieldSet,
     ref = None
     corrections = 0
     for it in range(NEWTON_MAX_ITER + 1):
-        result, _, _ = constitutive_sweep(problem, u, fields.d, fields.phi,
+        result, _, _ = constitutive_sweep(problem, u, fields.d, layout,
                                           qstate_prev)
         residual = assemble_ru(problem, result)
         rnorm = np.linalg.norm(residual[free]) if free.size else 0.0
@@ -601,49 +668,60 @@ def newton_displacement(problem: Problem, fields: FieldSet,
 
 def staggered_step(problem: Problem, fields_prev: FieldSet,
                    qstate_prev: QuadState, load_value: float,
-                   settings: SolverSettings):
+                   settings: SolverSettings, layout: TopologyLayout = None,
+                   opening_history=None):
     """Alternate crack-field and displacement solves until the combined
     residual drops below the staggered tolerance; commits the quadrature
     state and history on exit.
 
-    One constitutive sweep opens the step.  Every later pass reuses the
-    previous pass's final Newton sweep and the tentative history built from
-    it: that sweep was taken at the current u, d and phi with the same
+    ``layout`` is ``problem.layout(fields_prev.phi)``, built here when not
+    given.  One constitutive sweep opens the step, unless the caller passes
+    its tentative history as ``opening_history``.  Every later pass reuses
+    the previous pass's final Newton sweep and the tentative history built
+    from it: that sweep was taken at the current u, d and phi with the same
     ``qstate_prev``, which is exactly the sweep the pass would otherwise
-    repeat, so the reuse changes no value.  A pass accepted through the
-    fixed-point exit instead of the tolerance sets ``stats.stalled``.
+    repeat, so the reuse changes no value.  The crack operator of that
+    history serves both the end-of-pass residual and the next crack solve.
+    A pass accepted through the fixed-point exit instead of the tolerance
+    sets ``stats.stalled``.
     """
     mesh = problem.mesh
     fields = fields_prev.copy()
+    if layout is None:
+        layout = problem.layout(fields.phi)
 
     stats = StepStats()
     ref = None
     u_last = None
     d_last = None
     # phase-field part of the first pass: history from the start iterate
-    result, _, phi_qp = constitutive_sweep(
-        problem, fields.u, fields.d, fields.phi, qstate_prev)
-    history_qp = tentative_history(problem, result, qstate_prev)
+    history_qp = opening_history
+    if history_qp is None:
+        result, _, _ = constitutive_sweep(
+            problem, fields.u, fields.d, layout, qstate_prev)
+        history_qp = tentative_history(problem, result, qstate_prev)
+    operator = crack_operator(problem, fields_prev.d, history_qp, layout)
     for k in range(1, settings.stagger_max_iter + 1):
-        fields.d, overshoot = solve_crack_field(
-            problem, fields_prev.d, history_qp, phi_qp)
+        fields.d, overshoot = solve_crack_field(problem, fields_prev.d,
+                                                operator)
         stats.d_overshoot = max(stats.d_overshoot, overshoot)
 
         # mechanical part under the new prescribed values
         fields.u[problem.prescribed_dofs] = 0.0
         fields.u[problem.driven_dofs] = load_value
         result, residual, corr, nit = newton_displacement(
-            problem, fields, qstate_prev)
+            problem, fields, layout, qstate_prev)
         stats.newton_corrections += corr
         stats.newton_iterations += nit
         stats.stagger_iterations = k
 
         # combined residual at the end of the pass; bound-active crack DOFs
         # contribute only their feasible-direction (projected) residual.
-        # The history also drives the next pass's crack solve.
+        # The history and its operator also drive the next pass's crack
+        # solve.
         history_qp = tentative_history(problem, result, qstate_prev)
-        rd = assemble_rd(problem, fields.d, fields_prev.d, history_qp,
-                         phi_qp)
+        operator = crack_operator(problem, fields_prev.d, history_qp, layout)
+        rd = assemble_rd(problem, fields.d, operator)
         rd[(fields.d <= fields_prev.d) & (rd > 0.0)] = 0.0
         rd[(fields.d >= 1.0) & (rd < 0.0)] = 0.0
         res = (np.linalg.norm(residual[problem.free_dofs])
@@ -675,12 +753,21 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
 def run_load_history(problem: Problem, n_steps: int, du_per_step: float,
                      settings: SolverSettings = None, phi=None) -> Trajectory:
     """March the prescribed displacement in ``n_steps`` uniform increments
-    on a fixed topology, recording every committed state."""
+    on a fixed topology, recording every committed state.
+
+    The topology's layout is built once.  A step that follows a level with
+    no plastic increment skips its opening sweep: that sweep would repeat
+    the last sweep of the step before (same u, d and phi; the plastic state
+    it starts from is the one that sweep started from), whose tentative
+    history the level already holds, so max(H^(n-1), H~) is H^(n-1).  Level
+    0 holds zero history, which is also what a sweep at zero strain gives.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     settings = settings or SolverSettings()
     fields = problem.initial_fields(phi)
     qstate = problem.initial_state()
+    layout = problem.layout(fields.phi)
 
     traj = Trajectory()
     traj.fields.append(fields.copy())
@@ -690,9 +777,11 @@ def run_load_history(problem: Problem, n_steps: int, du_per_step: float,
 
     for n in range(1, n_steps + 1):
         load = n * du_per_step
+        opening = None if np.any(qstate.lambda_p) else qstate.history
         try:
             fields, qstate, stats = staggered_step(
-                problem, fields, qstate, load, settings)
+                problem, fields, qstate, load, settings, layout=layout,
+                opening_history=opening)
         except SolverError as err:
             err.partial_trajectory = traj
             raise

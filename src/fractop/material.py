@@ -131,12 +131,17 @@ def trace(t6: np.ndarray) -> np.ndarray:
 
 
 def deviator(t6: np.ndarray) -> np.ndarray:
+    return _trace_and_deviator(t6)[1]
+
+
+def _trace_and_deviator(t6: np.ndarray):
+    i1 = trace(t6)
     dev = t6.copy()
-    m = trace(t6) / 3.0
+    m = i1 / 3.0
     dev[..., 0] -= m
     dev[..., 1] -= m
     dev[..., 2] -= m
-    return dev
+    return i1, dev
 
 
 def tensor_norm(t6: np.ndarray) -> np.ndarray:
@@ -184,14 +189,19 @@ def energy_split(eps_e: np.ndarray, params: MaterialParams):
     psi+ = H+[I1] K/2 I1^2 + mu e_dev:e_dev ,   psi- = (1 - H+[I1]) K/2 I1^2.
     H+ is 1 for I1 >= 0 (right-continuous tie-break) and 0 otherwise.
     """
-    eps_e = np.asarray(eps_e, dtype=float)
-    i1 = trace(eps_e)
+    i1, dev = _trace_and_deviator(np.asarray(eps_e, dtype=float))
+    _, psi_plus, psi_minus = _split_energy(i1, dev, params)
+    return psi_plus, psi_minus
+
+
+def _split_energy(i1, dev, params: MaterialParams):
+    """H+[I1], psi+ and psi- of ``energy_split`` from the trace and the
+    deviator of the elastic strain."""
     hplus = (i1 >= 0.0).astype(float)
     psi_vol = 0.5 * params.bulk_modulus * i1 ** 2
-    dev = deviator(eps_e)
     psi_dev = params.shear_modulus * np.einsum(
         "...i,i,...i->...", dev, VOIGT_WEIGHT, dev)
-    return hplus * psi_vol + psi_dev, (1.0 - hplus) * psi_vol
+    return hplus, hplus * psi_vol + psi_dev, (1.0 - hplus) * psi_vol
 
 
 def return_map(eps_total: np.ndarray, state_n: QuadState, d, phi,
@@ -206,6 +216,11 @@ def return_map(eps_total: np.ndarray, state_n: QuadState, d, phi,
     ``fphi`` is the solid/void transition f(phi) at the points; ``None``
     takes the exact ``transition_f(phi, kappa)``.  The value used is kept as
     ``StressResult.fphi``.
+
+    When no point of the batch yields, the return is skipped: the trial
+    deviator, its trace and 2 mu dev are the final ones and give sigma+ and
+    psi+ directly.  The values are the ones the return would compute, bit
+    for bit, because at an elastic point it only adds zero increments.
     """
     eps = np.asarray(eps_total, dtype=float)
     if not np.all(np.isfinite(eps)):
@@ -220,36 +235,38 @@ def return_map(eps_total: np.ndarray, state_n: QuadState, d, phi,
         fphi = transition_f(phi, kappa)
     gd = degradation_g(d, kappa)
 
-    eps_e_tr = eps - state_n.eps_p
-    s_tr = 2.0 * mu * deviator(eps_e_tr)       # effective trial deviator
+    eps_e = eps - state_n.eps_p                 # trial elastic strain
+    i1, dev_e = _trace_and_deviator(eps_e)
+    s_tr = 2.0 * mu * dev_e                     # effective trial deviator
     norm_s = tensor_norm(s_tr)
     q_tr = np.sqrt(1.5) * norm_s
     beta_eff = q_tr - (params.yield_stress + h * state_n.alpha)
 
     solid = phi >= 0.0                          # Remark: void points are elastic
     plastic = (beta_eff > 0.0) & solid
-    dlam = np.where(plastic, beta_eff / (3.0 * mu + h), 0.0)
-
-    safe = np.where(norm_s > 0.0, norm_s, 1.0)
-    nhat = s_tr / safe[..., None]
-    nhat = np.where(plastic[..., None], nhat, 0.0)
-
-    eps_p = state_n.eps_p + np.sqrt(1.5) * dlam[..., None] * nhat
+    if plastic.any():
+        dlam = np.where(plastic, beta_eff / (3.0 * mu + h), 0.0)
+        safe = np.where(norm_s > 0.0, norm_s, 1.0)
+        nhat = np.where(plastic[..., None], s_tr / safe[..., None], 0.0)
+        eps_p = state_n.eps_p + np.sqrt(1.5) * dlam[..., None] * nhat
+        i1, dev_e = _trace_and_deviator(eps - eps_p)
+        sig_plus = 2.0 * mu * dev_e
+    else:
+        # the trial state is final; the zero increments below are what the
+        # return adds at an elastic point, so the values do not move
+        dlam = np.zeros(plastic.shape)
+        nhat = np.zeros(s_tr.shape)
+        eps_p = state_n.eps_p + nhat
+        sig_plus = s_tr
     alpha = state_n.alpha + dlam
-    eps_e = eps - eps_p
 
-    i1 = trace(eps_e)
-    hplus = (i1 >= 0.0).astype(float)
     k = params.bulk_modulus
-    dev_e = deviator(eps_e)
-    sig_plus = 2.0 * mu * dev_e
+    hplus, psi_plus, _ = _split_energy(i1, dev_e, params)
     vol = (k * i1)[..., None] * np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     sig_plus = sig_plus + hplus[..., None] * vol
     sig_minus = (1.0 - hplus)[..., None] * vol
     sigma_eff = gd[..., None] * sig_plus + sig_minus
     sigma = fphi[..., None] * sigma_eff
-
-    psi_plus, _ = energy_split(eps_e, params)
     psi_p = 0.5 * h * alpha ** 2
 
     new_state = QuadState(eps_p=eps_p, alpha=alpha,

@@ -81,7 +81,8 @@ def residual_phi_derivative(problem: Problem, d, sweep):
     kappa = p.kappa
     rows = mesh.voigt_rows
 
-    result, _, phi_qp = sweep
+    result, _, layout = sweep
+    phi_qp = layout.phi_qp
     dfac = (2.0 * (1.0 - kappa)
             * heaviside_regularized(phi_qp, problem.l_delta)
             * dirac_regularized(phi_qp, problem.l_delta))
@@ -207,14 +208,16 @@ def adjoint_sweep(problem: Problem, trajectory: Trajectory,
     """Per-step adjoints over the whole trajectory, each with its products
     against the explicit residual derivatives of its own level.
 
-    One constitutive sweep of committed level n (fields[n] on qstates[n-1])
-    feeds both the tangent blocks and dR^n/dPhi.
+    Every level has the same phi, so one ``Problem.layout`` serves the
+    sweep.  One constitutive sweep of committed level n (fields[n] on
+    qstates[n-1]) feeds both the tangent blocks and dR^n/dPhi.
     """
+    layout = problem.layout(trajectory.fields[0].phi)
     adjoints = []
     for n in range(1, trajectory.n_steps + 1):
         fields = trajectory.fields[n]
         qstate_prev = trajectory.qstates[n - 1]
-        sweep = constitutive_sweep(problem, fields.u, fields.d, fields.phi,
+        sweep = constitutive_sweep(problem, fields.u, fields.d, layout,
                                    qstate_prev)
         blocks = assemble_tangent_blocks(problem, sweep, qstate_prev,
                                          formulation)

@@ -7,7 +7,8 @@ transition by its regularized counterpart (the integral of the regularized
 Dirac); the analytic arm keeps the exact projection.  The arm's forward
 solves run on a shallow copy of the problem with ``Problem.regularized``
 set, the one place that flag is set; the copy shares the mesh-only caches
-(band patterns, element operators) with the caller's problem.  The
+(band patterns, element operators) with the caller's problem, and each
+load history builds its own (regularized) ``Problem.layout``.  The
 remaining discrepancy sources are the perturbation size and the
 regularization itself.
 """

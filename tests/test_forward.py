@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import spsolve
 
 from fractop import config
@@ -32,7 +33,8 @@ class TestAssembleRu:
         prob = small_problem()
         fields = prob.initial_fields()
         res, _, _ = fwd.constitutive_sweep(
-            prob, fields.u, fields.d, fields.phi, prob.initial_state())
+            prob, fields.u, fields.d, prob.layout(fields.phi),
+            prob.initial_state())
         residual = fwd.assemble_ru(prob, res)
         assert np.abs(residual).max() == 0.0
 
@@ -43,7 +45,8 @@ class TestAssembleRu:
         fields = prob.initial_fields()
         fields.u = (mesh.coords @ grad.T).ravel()
         res, _, _ = fwd.constitutive_sweep(
-            prob, fields.u, fields.d, fields.phi, prob.initial_state())
+            prob, fields.u, fields.d, prob.layout(fields.phi),
+            prob.initial_state())
         residual = fwd.assemble_ru(prob, res)
         fm.tag_box(mesh, [(0.4, 1.6), (0.4, 0.6)], "interior")
         interior = mesh.node_sets["interior"]
@@ -58,14 +61,13 @@ class TestAssembleRu:
         fields = prob.initial_fields()
         fields.u, fields.d = u, d
         state = prob.initial_state()
+        layout = prob.layout(fields.phi)
 
         def residual_at(uvec):
-            f = prob.initial_fields()
-            f.u, f.d = uvec, d
-            res, _, _ = fwd.constitutive_sweep(prob, uvec, d, f.phi, state)
+            res, _, _ = fwd.constitutive_sweep(prob, uvec, d, layout, state)
             return fwd.assemble_ru(prob, res)
 
-        res, _, _ = fwd.constitutive_sweep(prob, u, d, fields.phi, state)
+        res, _, _ = fwd.constitutive_sweep(prob, u, d, layout, state)
         k_uu = mesh.assemble(fwd._kuu_blocks(prob, res))
         h = 1e-7
         cols = rng.choice(mesh.n_udof, size=8, replace=False)
@@ -85,9 +87,9 @@ class TestAssembleRd:
         prob = small_problem()
         mesh = prob.mesh
         zeros = np.zeros((mesh.n_elems, 4))
-        phi_qp = np.ones((mesh.n_elems, 4))
-        d, overshoot = fwd.solve_crack_field(prob, np.zeros(mesh.n_nodes),
-                                             zeros, phi_qp)
+        d_prev = np.zeros(mesh.n_nodes)
+        d, overshoot = fwd.solve_crack_field(prob, d_prev, fwd.crack_operator(
+            prob, d_prev, zeros, prob.layout(np.ones(mesh.n_nodes))))
         assert np.abs(d).max() == 0.0
         assert overshoot == 0.0
 
@@ -98,9 +100,9 @@ class TestAssembleRd:
         mesh = prob.mesh
         hval = 7.3
         hist = np.full((mesh.n_elems, 4), hval)
-        phi_qp = np.ones((mesh.n_elems, 4))
-        d, _ = fwd.solve_crack_field(prob, np.zeros(mesh.n_nodes), hist,
-                                     phi_qp)
+        d_prev = np.zeros(mesh.n_nodes)
+        d, _ = fwd.solve_crack_field(prob, d_prev, fwd.crack_operator(
+            prob, d_prev, hist, prob.layout(np.ones(mesh.n_nodes))))
         kappa = prob.params.kappa
         visc = prob.params.eta_f / prob.params.tau_f
         expected = (1 - kappa) * hval / (1 + (1 - kappa) * hval + visc)
@@ -115,9 +117,9 @@ class TestAssembleRd:
         mesh = prob.mesh
         prob.params = replace(prob.params, tau_f=prob.params.eta_f)
         zeros = np.zeros((mesh.n_elems, 4))
-        phi_qp = np.ones((mesh.n_elems, 4))
         d_prev = np.full(mesh.n_nodes, 0.3)
-        d, overshoot = fwd.solve_crack_field(prob, d_prev, zeros, phi_qp)
+        d, overshoot = fwd.solve_crack_field(prob, d_prev, fwd.crack_operator(
+            prob, d_prev, zeros, prob.layout(np.ones(mesh.n_nodes))))
         assert np.array_equal(d, d_prev)
         assert overshoot == pytest.approx(0.15, rel=1e-10)
 
@@ -128,12 +130,13 @@ class TestAssembleRd:
         d = rng.uniform(0, 0.8, mesh.n_nodes)
         d_prev = np.clip(d - 0.05, 0, 1)
         hist = rng.uniform(0, 3, (mesh.n_elems, 4))
-        phi_qp = np.ones((mesh.n_elems, 4))
+        operator = fwd.crack_operator(prob, d_prev, hist,
+                                      prob.layout(np.ones(mesh.n_nodes)))
 
         def residual_at(dv):
-            return fwd.assemble_rd(prob, dv, d_prev, hist, phi_qp)
+            return fwd.assemble_rd(prob, dv, operator)
 
-        k_dd = mesh.assemble(fwd._kdd_blocks(prob, hist, phi_qp))
+        k_dd = mesh.assemble(operator[0])
         h = 1e-7
         for j in rng.choice(mesh.n_nodes, size=6, replace=False):
             dp = d.copy()
@@ -221,10 +224,12 @@ class TestStaggeredStep:
 
     def test_no_repeated_sweeps_or_discarded_tangents(self, monkeypatch):
         # each pass reuses the previous pass's last Newton sweep, the tangent
-        # moduli are built only for a Newton correction, and the 6x6 tangent
-        # never is
+        # moduli are built only for a Newton correction, the 6x6 tangent
+        # never is, and one set of K_dd blocks serves a pass's residual and
+        # the next pass's crack solve
         prob = make_bend_beam()
-        calls = {"sweep": 0, "moduli": 0, "tangent": 0, "solve": 0}
+        calls = {"sweep": 0, "moduli": 0, "tangent": 0, "solve": 0,
+                 "kdd": 0}
 
         def counted(key, func):
             def wrapper(*args, **kwargs):
@@ -239,6 +244,8 @@ class TestStaggeredStep:
         monkeypatch.setattr(mat, "_tangent", counted("tangent", mat._tangent))
         monkeypatch.setattr(fwd, "linear_solve",
                             counted("solve", fwd.linear_solve))
+        monkeypatch.setattr(fwd, "_kdd_blocks",
+                            counted("kdd", fwd._kdd_blocks))
         _, _, stats = fwd.staggered_step(
             prob, prob.initial_fields(), prob.initial_state(), -0.03,
             fwd.SolverSettings())
@@ -249,6 +256,7 @@ class TestStaggeredStep:
         assert calls["tangent"] == 0
         assert calls["solve"] == (stats.stagger_iterations
                                   + stats.newton_corrections)
+        assert calls["kdd"] == stats.stagger_iterations + 1
 
     def test_warm_start_from_converged_state_needs_no_corrections(self):
         prob = small_problem()
@@ -335,6 +343,60 @@ class TestLoadHistory:
         assert calls["assemble_rd"] == passes > 0
         assert calls["assemble_ru"] >= passes
 
+    @staticmethod
+    def _history_case(case):
+        if case == "bend":
+            cfg, prob = config_problem("bend2d.ini")
+            return prob, cfg.steps, cfg.displacement_per_step, cfg.solver
+        cfg, prob = config_problem("ductile_strip2d.ini", (12, 4))
+        return prob, 25, cfg.displacement_per_step, cfg.solver
+
+    @pytest.mark.parametrize("case", ["bend", "strip"])
+    def test_history_equals_steps_that_each_open_with_a_sweep(self, case):
+        # after a level without plastic increment the history skips the
+        # step's opening sweep, which would repeat the level's last sweep;
+        # stepping by hand computes every opening sweep
+        prob, steps, du, settings = self._history_case(case)
+        traj = fwd.run_load_history(prob, steps, du, settings)
+        plastic = [bool(np.any(q.lambda_p)) for q in traj.qstates[:-1]]
+        if case == "bend":   # brittle: the rule fires at every step
+            assert not any(plastic) and traj.fields[-1].d.max() > 0.1
+        else:                # plastic levels take the opening sweep
+            assert 0 < sum(plastic) < steps
+        fields, qstate = prob.initial_fields(), prob.initial_state()
+        for n in range(1, steps + 1):
+            fields, qstate, stats = fwd.staggered_step(
+                prob, fields, qstate, n * du, settings)
+            assert stats == traj.stats[n - 1]
+            for name in ("u", "d", "p_u"):
+                assert np.array_equal(getattr(fields, name),
+                                      getattr(traj.fields[n], name))
+            for name in ("eps_p", "alpha", "history", "lambda_p"):
+                assert np.array_equal(getattr(qstate, name),
+                                      getattr(traj.qstates[n], name))
+
+    @pytest.mark.parametrize("case", ["bend", "strip"])
+    def test_history_sweeps_and_crack_operators(self, case, monkeypatch):
+        # one sweep per Newton iteration, one opening sweep per step whose
+        # previous level took a plastic increment, and K_dd blocks once
+        # per pass plus once for the opening crack solve
+        calls = {"constitutive_sweep": 0, "_kdd_blocks": 0}
+        for name in calls:
+            func = getattr(fwd, name)
+
+            def counted(*args, _name=name, _func=func, **kwargs):
+                calls[_name] += 1
+                return _func(*args, **kwargs)
+
+            monkeypatch.setattr(fwd, name, counted)
+        prob, steps, du, settings = self._history_case(case)
+        traj = fwd.run_load_history(prob, steps, du, settings)
+        passes = sum(s.stagger_iterations for s in traj.stats)
+        newton = sum(s.newton_iterations for s in traj.stats)
+        openings = sum(bool(np.any(q.lambda_p)) for q in traj.qstates[:-1])
+        assert calls["constitutive_sweep"] == passes + newton + openings
+        assert calls["_kdd_blocks"] == passes + steps
+
     def test_invalid_step_count(self):
         with pytest.raises(ValueError):
             fwd.run_load_history(small_problem(), 0, 1e-3)
@@ -359,7 +421,8 @@ class TestLoadHistory:
         fields = prob.initial_fields()
         fields.u = (mesh.coords @ grad.T).ravel()
         res, _, _ = fwd.constitutive_sweep(
-            prob, fields.u, fields.d, fields.phi, prob.initial_state())
+            prob, fields.u, fields.d, prob.layout(fields.phi),
+            prob.initial_state())
         residual = fwd.assemble_ru(prob, res)
         center = fm.tag_box(mesh, [(0.4, 0.6)] * 3, "mid").node_sets["mid"]
         assert np.abs(residual[mesh.udofs_of(center)]).max() < 1e-10
@@ -422,16 +485,16 @@ class TestBandedSolve:
         prob, fields, qstate_prev, qstate = ductile_state
         mesh = prob.mesh
         rng = np.random.default_rng(7)
-        result, _, phi_qp = fwd.constitutive_sweep(
-            prob, fields.u, fields.d, fields.phi, qstate_prev)
+        result, _, layout = fwd.constitutive_sweep(
+            prob, fields.u, fields.d, prob.layout(fields.phi), qstate_prev)
         free = prob.free_dofs
         cases = (
             (prob.uu_band, fwd._kuu_blocks(prob, result),
              mesh.assemble(fwd._kuu_blocks(prob, result))[free][:, free],
              free, mesh.n_udof),
             (prob.dd_band,
-             fwd._kdd_blocks(prob, qstate.history, phi_qp),
-             mesh.assemble(fwd._kdd_blocks(prob, qstate.history, phi_qp)),
+             fwd._kdd_blocks(prob, qstate.history, layout),
+             mesh.assemble(fwd._kdd_blocks(prob, qstate.history, layout)),
              np.arange(mesh.n_nodes), mesh.n_nodes),
         )
         for pattern, blocks, csr, unknowns, size in cases:
@@ -443,16 +506,35 @@ class TestBandedSolve:
             err = np.abs(banded[unknowns] - ref).max() / np.abs(ref).max()
             assert err < 1e-10
 
+    def test_equals_solveh_banded_bit_for_bit(self, ductile_state):
+        # the band path calls the LAPACK routine solveh_banded runs, and
+        # leaves the band as it is
+        prob, fields, qstate_prev, qstate = ductile_state
+        result, _, layout = fwd.constitutive_sweep(
+            prob, fields.u, fields.d, prob.layout(fields.phi), qstate_prev)
+        rng = np.random.default_rng(11)
+        for pattern, blocks in (
+                (prob.uu_band, fwd._kuu_blocks(prob, result)),
+                (prob.dd_band,
+                 fwd._kdd_blocks(prob, qstate.history, layout))):
+            band = pattern.assemble(blocks)
+            before = band.copy()
+            rhs = rng.normal(size=band.shape[1])
+            assert np.array_equal(
+                fwd.linear_solve(band, rhs),
+                solveh_banded(band, rhs, lower=True, check_finite=False))
+            assert np.array_equal(band, before)
+
     def test_band_repeats_the_csr_matrix_bit_for_bit(self, ductile_state):
         # the band sums each entry in the order tocsr does, so the forward
         # solves see the same matrix as the CSR blocks of the adjoint
         prob, fields, qstate_prev, qstate = ductile_state
-        result, _, phi_qp = fwd.constitutive_sweep(
-            prob, fields.u, fields.d, fields.phi, qstate_prev)
+        result, _, layout = fwd.constitutive_sweep(
+            prob, fields.u, fields.d, prob.layout(fields.phi), qstate_prev)
         cases = (
             (prob.uu_band, fwd._kuu_blocks(prob, result)),
             (prob.dd_band,
-             fwd._kdd_blocks(prob, qstate.history, phi_qp)),
+             fwd._kdd_blocks(prob, qstate.history, layout)),
         )
         for pattern, blocks in cases:
             csr = prob.mesh.assemble(blocks)
@@ -543,9 +625,10 @@ class TestElementOperators:
             traj = fwd.run_load_history(prob, steps,
                                         cfg.displacement_per_step, cfg.solver)
             fields = traj.fields[steps]
-            result, _, phi_qp = fwd.constitutive_sweep(
-                prob, fields.u, fields.d, fields.phi, traj.qstates[steps - 1])
-            out[key] = (prob, result, phi_qp, fields.d,
+            result, _, layout = fwd.constitutive_sweep(
+                prob, fields.u, fields.d, prob.layout(fields.phi),
+                traj.qstates[steps - 1])
+            out[key] = (prob, result, layout, fields.d,
                         traj.fields[steps - 1].d, traj.qstates[steps].history)
         prob, result, _, d, _, _ = out["strip"]
         assert np.all(result.moduli[2] != 0.0) and d.max() > 0.1
@@ -568,18 +651,20 @@ class TestElementOperators:
 
     @pytest.mark.parametrize("key", ["bend", "strip", "block"])
     def test_crack_kernels_match_quadrature_formulas(self, states, key):
-        prob, _, phi_qp, d, d_prev, hist = states[key]
+        prob, _, layout, d, d_prev, hist = states[key]
         mesh = prob.mesh
         p = prob.params
         kappa = p.kappa
         visc = p.eta_f / p.tau_f
-        gradw = mesh.w_detj * p.l_f ** 2 * mat.transition_f(phi_qp, kappa)
+        gradw = mesh.w_detj * p.l_f ** 2 * mat.transition_f(layout.phi_qp,
+                                                            kappa)
         react = (1.0 - kappa) * hist + 1.0 + visc
         k_ref = np.einsum("eq,eq,qa,qb->eab", mesh.w_detj, react,
                           mesh.shape_n, mesh.shape_n)
         k_ref += np.einsum("eq,eqad,eqbd->eab", gradw, mesh.dn_dx,
                            mesh.dn_dx)
-        self._close(fwd._kdd_blocks(prob, hist, phi_qp), k_ref, 1e-14)
+        operator = fwd.crack_operator(prob, d_prev, hist, layout)
+        self._close(operator[0], k_ref, 1e-14)
 
         def residual(dv):
             d_qp = mesh.interpolate(dv)
@@ -595,7 +680,7 @@ class TestElementOperators:
         # at the converged d the residual is roundoff, so scale by its terms
         load = np.abs(residual(np.zeros_like(d))).max()
         for dv in (d, np.zeros_like(d), np.full_like(d, 0.5)):
-            err = np.abs(fwd.assemble_rd(prob, dv, d_prev, hist, phi_qp)
+            err = np.abs(fwd.assemble_rd(prob, dv, operator)
                          - residual(dv)).max()
             assert err <= 1e-13 * max(load, np.abs(k_ref).max()
                                       * np.abs(dv).max())
@@ -633,7 +718,8 @@ class TestTangentBlocks:
         settings = fwd.SolverSettings()
         traj = fwd.run_load_history(prob, 2, -1e-3, settings)
         fields = traj.fields[2]
-        sweep = fwd.constitutive_sweep(prob, fields.u, fields.d, fields.phi,
+        sweep = fwd.constitutive_sweep(prob, fields.u, fields.d,
+                                       prob.layout(fields.phi),
                                        traj.qstates[1])
         blocks = fwd.assemble_tangent_blocks(prob, sweep, traj.qstates[1])
         k = blocks.k_uu.toarray()
@@ -643,7 +729,8 @@ class TestTangentBlocks:
         prob = small_problem()
         fields = prob.initial_fields()
         state0 = prob.initial_state()
-        sweep = fwd.constitutive_sweep(prob, fields.u, fields.d, fields.phi,
+        layout = prob.layout(fields.phi)
+        sweep = fwd.constitutive_sweep(prob, fields.u, fields.d, layout,
                                        state0)
         blocks = fwd.assemble_tangent_blocks(prob, sweep, state0)
         assert blocks.k_ud.nnz == 0 or np.abs(blocks.k_ud.data).max() == 0.0
@@ -658,13 +745,14 @@ class TestTangentBlocks:
         rng = np.random.default_rng(3)
         fields.d = rng.uniform(0.05, 0.6, mesh.n_nodes)
         state0 = traj.qstates[0]
-        sweep = fwd.constitutive_sweep(prob, fields.u, fields.d, fields.phi,
+        layout = prob.layout(fields.phi)
+        sweep = fwd.constitutive_sweep(prob, fields.u, fields.d, layout,
                                        state0)
         blocks = fwd.assemble_tangent_blocks(prob, sweep, state0)
 
         def ru_at(dv):
-            res, _, _ = fwd.constitutive_sweep(prob, fields.u, dv,
-                                               fields.phi, state0)
+            res, _, _ = fwd.constitutive_sweep(prob, fields.u, dv, layout,
+                                               state0)
             return fwd.assemble_ru(prob, res)
 
         h = 1e-7

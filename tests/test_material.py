@@ -156,6 +156,34 @@ class TestReturnMap:
         assert np.all(beta <= 1e-10 * p.yield_stress)
         assert np.abs(st_new.lambda_p * beta).max() < 1e-10 * p.yield_stress
 
+    def test_elastic_rows_do_not_depend_on_the_batch(self):
+        # a batch with no yielding point skips the return; its rows equal
+        # those of the same points inside a batch that does return
+        p = ductile()
+        rng = np.random.default_rng(5)
+        prior = mat.return_map(rng.normal(scale=8.0, size=(64, 6)),
+                               mat.QuadState.zeros(64), 0.0, 1.0, p)
+        state = prior.new_state
+        assert np.all(state.alpha > 0.0)
+        eps = state.eps_p + rng.normal(scale=2.0, size=(64, 6))
+        d = rng.uniform(0.0, 0.5, 64)
+        mixed = mat.return_map(eps, state, d, 1.0, p)
+        elastic = mixed.new_state.lambda_p == 0.0
+        assert 0 < elastic.sum() < 64
+        sub = mat.QuadState(state.eps_p[elastic], state.alpha[elastic],
+                            state.history[elastic], state.lambda_p[elastic])
+        alone = mat.return_map(eps[elastic], sub, d[elastic], 1.0, p)
+        assert not np.any(alone.new_state.lambda_p)
+        for name in ("sigma", "psi_plus", "sigma_eff", "sigma_plus", "psi_p",
+                     "nhat", "fphi", "tangent"):
+            assert np.array_equal(getattr(alone, name),
+                                  getattr(mixed, name)[elastic])
+        for got, ref in zip(alone.moduli, mixed.moduli):
+            assert np.array_equal(got, ref[elastic])
+        for name in ("eps_p", "alpha", "history", "lambda_p"):
+            assert np.array_equal(getattr(alone.new_state, name),
+                                  getattr(mixed.new_state, name)[elastic])
+
     def test_nonfinite_input_rejected(self):
         with pytest.raises(FloatingPointError):
             mat.return_map(np.full((1, 6), np.nan), mat.QuadState.zeros(1),

@@ -19,8 +19,8 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def sweep_of(prob, fields, qstate_prev):
-    return fwd.constitutive_sweep(prob, fields.u, fields.d, fields.phi,
-                                  qstate_prev)
+    return fwd.constitutive_sweep(prob, fields.u, fields.d,
+                                  prob.layout(fields.phi), qstate_prev)
 
 
 class TestObjectiveIncrement:
@@ -306,7 +306,7 @@ class TestResidualPhiDerivative:
 
         def ru_at(phiv):
             res, _, _ = fwd.constitutive_sweep(smooth, fields.u, fields.d,
-                                               phiv, state0)
+                                               smooth.layout(phiv), state0)
             return fwd.assemble_ru(smooth, res)
 
         h = 1e-5
