@@ -1,0 +1,68 @@
+"""Print one SHA-256 digest per state array of five shipped scenarios: every
+level's fields and quadrature state, the solver statistics and reactions of
+the load history, and every adjoint and G_S of Formulations 1 and 2.
+
+Run from the repository root with ``PYTHONPATH=src``.  Two versions of the
+code compute the same bits when their outputs are identical on one machine;
+across machines the digests may differ, since OpenBLAS picks its kernels by
+CPU.
+"""
+
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from fractop import config
+from fractop.forward import run_load_history
+from fractop.sensitivity import adjoint_sweep, solid_sensitivity
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# (label, config, changes to its run configuration)
+CASES = (
+    ("bend_20x8", "bend2d.ini", {}),
+    ("bend_80x32", "bend2d.ini", {"counts": (80, 32)}),
+    ("strip_48x16", "ductile_strip2d.ini", {"counts": (48, 16), "steps": 32}),
+    ("strip_12x4", "ductile_strip2d.ini", {"counts": (12, 4), "steps": 25}),
+    ("block3d", "block3d_elastic.ini", {}),
+)
+
+
+def digest(value) -> str:
+    data = (value.tobytes() if isinstance(value, np.ndarray)
+            else repr(value).encode())
+    return hashlib.sha256(data).hexdigest()
+
+
+def items(name, changes):
+    """(item, value) pairs of one scenario, in a fixed order."""
+    cfg = replace(config.load_config(CONFIGS / name), **changes)
+    problem = config.build_problem(cfg)
+    traj = run_load_history(problem, cfg.steps, cfg.displacement_per_step,
+                            cfg.solver)
+    for n, (fields, qstate) in enumerate(zip(traj.fields, traj.qstates)):
+        for attr in ("u", "d", "phi", "p_u"):
+            yield f"level {n} {attr}", getattr(fields, attr)
+        for attr in ("eps_p", "alpha", "history", "lambda_p"):
+            yield f"level {n} {attr}", getattr(qstate, attr)
+    yield "stats", traj.stats
+    yield "reaction", np.array(traj.reaction)
+    for formulation in (1, 2):
+        adjoints = adjoint_sweep(problem, traj, formulation)
+        for n, adj in enumerate(adjoints, start=1):
+            yield f"F{formulation} step {n} lambda_u", adj.lambda_u
+            if adj.lambda_d is not None:
+                yield f"F{formulation} step {n} lambda_d", adj.lambda_d
+        yield f"F{formulation} G_S", solid_sensitivity(adjoints)
+
+
+def main():
+    for label, name, changes in CASES:
+        for item, value in items(name, changes):
+            print(f"{label} {item} {digest(value)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -27,13 +27,19 @@ cached CSR patterns (``Mesh.assemble``), and ``sensitivity.adjoint_solve``
 gathers the blocks' data into the transposed system on the unknowns
 through a pattern each Problem also builds once per formulation, so no
 step converts COO to CSR, stacks, transposes or slices a sparse matrix.
+That pattern also stores the system's columns in COLAMD's order, found
+once, and ``linear_solve``'s sparse branch trusts the caller's column
+order: no step orders the same structure again.
 
 The element matrices are weighted sums of quadrature-point operators that
 depend on the mesh alone, which each Problem also builds once, on first use
 (``ElementOperators``).  K_uu needs only the three tangent moduli (a, b, c)
 of ``material.tangent_moduli`` per point, never the 6x6 tangent; K_dd is a
 weighted sum of N_a N_b and grad N_a . grad N_b, and R_d(d) = K_dd d - load
-is evaluated as a block mat-vec with the same element matrices.
+is evaluated as a block mat-vec with the same element matrices.  The kernel
+of K_ud, K_du and dR_u/dPhi (``stress_shape_blocks``) reads B without its
+structural zeros from the same operators and sums in the order of the
+einsum it replaces, so its bytes are that einsum's.
 
 The solid/void transition f(phi) is chosen once per problem:
 ``Problem.transition`` uses the exact Heaviside unless
@@ -347,12 +353,18 @@ class ElementOperators:
       of B summed) and ``kuu[e, nq + q]`` is ``B^T P_dev B``, each flattened,
       shape (ne, 2 nq, ndofe^2).  With the tangent moduli (a, b, c) the
       element stiffness is sum_q w (a m m^T + b B^T P_dev B + c v v^T),
-      v = B^T n.
+      v = B^T n;
+    - ``b_rows[k, i]`` is the k-th row of B that is not zero throughout
+      column i (DOF i), in increasing order, shape (K, ndofe) with K = dim,
+      and ``b_kept[e, q, k, i] = B[e, q, b_rows[k, i], i]``, shape
+      (ne, nq, K, ndofe): B without its structural zeros.
     """
 
     nn: np.ndarray
     gg: np.ndarray
     kuu: np.ndarray
+    b_rows: np.ndarray
+    b_kept: np.ndarray
 
 
 def _element_operators(mesh: Mesh) -> ElementOperators:
@@ -363,11 +375,16 @@ def _element_operators(mesh: Mesh) -> ElementOperators:
     pdev = np.einsum("eqsi,st,eqtj->eqij", b_u, mat.P_DEV[np.ix_(rows, rows)],
                      b_u, optimize=True)
     ne, nq, ndofe = m.shape
+    # each DOF moves its own component's normal strain and the shears that
+    # involve that component: dim rows of B, the same in every element
+    nonzero = np.any(b_u != 0.0, axis=(0, 1))
+    b_rows = np.stack([np.flatnonzero(col) for col in nonzero.T], axis=1)
     return ElementOperators(
         nn=np.einsum("qa,qb->qab", mesh.shape_n, mesh.shape_n),
         gg=np.einsum("eqad,eqbd->eqab", mesh.dn_dx, mesh.dn_dx),
         kuu=np.concatenate([mm, pdev], axis=1).reshape(ne, 2 * nq,
-                                                       ndofe * ndofe))
+                                                       ndofe * ndofe),
+        b_rows=b_rows, b_kept=b_u[:, :, b_rows, np.arange(ndofe)])
 
 
 def _structured_node_order(mesh: Mesh) -> np.ndarray:
@@ -513,14 +530,30 @@ def _kdd_blocks(problem: Problem, history_qp, layout: TopologyLayout):
     return blocks.reshape(-1, nen, nen)
 
 
-def stress_shape_blocks(mesh: Mesh, s: np.ndarray,
+def stress_shape_blocks(problem: Problem, s: np.ndarray,
                         elements=slice(None)) -> np.ndarray:
     """Element blocks (n_elems, ndofe, nen) of sum_q w (B^T s)_i N_a for a
     quadrature-point field ``s`` in the rows of B: the kernel of K_ud, of
     K_du (transposed) and of dR_u/dPhi.  With ``elements`` an index array,
-    ``s`` and the blocks cover those elements only."""
-    return np.einsum("eqsi,eqs,qa,eq->eia", mesh.b_u[elements], s,
-                     mesh.shape_n, mesh.w_detj[elements])
+    ``s`` and the blocks cover those elements only.
+
+    The sum is written out in the order of ``np.einsum("eqsi,eqs,qa,eq->eia",
+    b_u, s, shape_n, w_detj)``, whose bytes it repeats: each term is
+    ((B s) N) w, and the terms are added to blocks that start at +0.0, q
+    outer and the rows of B inner.  The rows where B is structurally zero
+    (``ElementOperators.b_rows``) are skipped: their terms are +-0, and
+    adding +-0 to a sum that starts at +0.0 changes no bit.
+    """
+    ops = problem.operators
+    w = problem.mesh.w_detj[elements]
+    terms = ops.b_kept[elements] * np.take(s, ops.b_rows, axis=2)
+    terms = terms[..., None] * problem.mesh.shape_n[:, None, None, :]
+    terms *= w[:, :, None, None, None]
+    blocks = np.zeros(terms.shape[:1] + terms.shape[3:])
+    for q in range(terms.shape[1]):
+        for k in range(terms.shape[2]):
+            blocks += terms[:, q, k]
+    return blocks
 
 
 def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
@@ -539,7 +572,7 @@ def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
     # K_ud: d sigma / d d = f(phi) g'(d) sigma+_eff
     gprime = -2.0 * (1.0 - kappa) * (1.0 - d_qp)
     coef = (fphi * gprime)[..., None] * result.sigma_plus[..., rows]
-    k_ud = mesh.assemble(stress_shape_blocks(mesh, coef))
+    k_ud = mesh.assemble(stress_shape_blocks(problem, coef))
 
     # K_du: dR_d/du through the history where the maximum advanced this step;
     # dH/d eps = zeta f / psi_c * sigma+_eff on the active set.  Its element
@@ -554,7 +587,8 @@ def assemble_coupling_blocks(problem: Problem, result: mat.StressResult,
         scale = active[hot] * p.zeta * fphi[hot] / p.psi_c
         dcoef = (1.0 - kappa) * (d_qp[hot] - 1.0)
         sens = (dcoef * scale)[..., None] * result.sigma_plus[hot][..., rows]
-        blocks[hot] = stress_shape_blocks(mesh, sens, hot).transpose(0, 2, 1)
+        blocks[hot] = stress_shape_blocks(problem, sens,
+                                          hot).transpose(0, 2, 1)
     k_du = mesh.assemble(blocks)
     return k_ud, k_du
 
@@ -588,9 +622,12 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
       Newton and K_dd in the crack solve.  A band that is not positive
       definite raises SolverError; there is no LU fallback.
     - ``matrix`` a scipy sparse matrix: solved by sparse LU (SuperLU),
-      ``spsolve`` on its CSC form.  The adjoint solves take this path,
-      since the Formulation-2 system is unsymmetric; they pass the CSC
-      system that ``sensitivity.AdjointPattern.fill`` builds.
+      ``spsolve`` on its CSC form in the column order given
+      (``permc_spec="NATURAL"``): the caller's order is trusted to be
+      fill-reducing.  The adjoint solves take this path, since the
+      Formulation-2 system is unsymmetric; they pass the CSC system that
+      ``sensitivity.AdjointPattern.fill`` builds, whose columns are already
+      in COLAMD's order.
     """
     if rhs.size == 0:
         return np.zeros(0)
@@ -602,7 +639,7 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
         if info < 0:
             raise SolverError(f"banded Cholesky rejected argument {-info}")
     else:
-        sol = spsolve(matrix.tocsc(), rhs)
+        sol = spsolve(matrix.tocsc(), rhs, permc_spec="NATURAL")
     if not np.all(np.isfinite(sol)):
         raise SolverError("linear solve produced non-finite values "
                           "(singular system after elimination?)")

@@ -24,9 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from .forward import (Problem, Trajectory, assemble_tangent_blocks,
-                      constitutive_sweep, linear_solve, stress_shape_blocks)
+from .forward import (Problem, SolverError, Trajectory,
+                      assemble_tangent_blocks, constitutive_sweep,
+                      linear_solve, stress_shape_blocks)
 from .levelset import dirac_regularized, heaviside_regularized
 
 log = logging.getLogger("fractop")
@@ -87,7 +89,7 @@ def residual_phi_derivative(problem: Problem, d, sweep):
             * heaviside_regularized(phi_qp, problem.l_delta)
             * dirac_regularized(phi_qp, problem.l_delta))
 
-    blk = stress_shape_blocks(mesh, dfac[..., None]
+    blk = stress_shape_blocks(problem, dfac[..., None]
                               * result.sigma_eff[..., rows])
     if problem.body_force is not None:
         fb = np.einsum("eq,qb,c,qa->ebca", dfac * mesh.w_detj, mesh.shape_n,
@@ -99,11 +101,26 @@ def residual_phi_derivative(problem: Problem, d, sweep):
 
     # crack residual: with the history frozen only the gradient-term
     # transition factor depends on phi
-    grad_d = mesh.qp_gradient(d)
     gradw = mesh.w_detj * p.l_f ** 2 * dfac
-    drd = mesh.assemble(np.einsum("eq,eqbd,eqd,qa->eba", gradw, mesh.dn_dx,
-                                  grad_d, mesh.shape_n))
+    drd = mesh.assemble(_gradient_shape_blocks(mesh, gradw,
+                                               mesh.qp_gradient(d)))
     return dru, drd
+
+
+def _gradient_shape_blocks(mesh, gradw, grad_d):
+    """Element blocks (n_elems, nen, nen) of sum_q gradw (grad N_b . grad d)
+    N_a, with the bytes of ``np.einsum("eq,eqbd,eqd,qa->eba", gradw, dn_dx,
+    grad_d, shape_n)``: each term is ((gradw dN_b/dx_k) (grad d)_k) N_a,
+    the terms of one point are summed over k first, and those sums are
+    added to blocks that start at +0.0, one point at a time."""
+    terms = (gradw[..., None, None] * mesh.dn_dx) * grad_d[:, :, None, :]
+    by_point = terms[..., 0, None] * mesh.shape_n[:, None, :]
+    for k in range(1, terms.shape[-1]):
+        by_point += terms[..., k, None] * mesh.shape_n[:, None, :]
+    blocks = np.zeros(by_point.shape[:1] + by_point.shape[2:])
+    for q in range(by_point.shape[1]):
+        blocks += by_point[:, q]
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -117,6 +134,17 @@ class AdjointPattern:
     for Formulation 1).  Their structure is what the sparse chain ``bmat``,
     ``.T.tocsr()``, row and column slices and ``tocsc`` builds from the
     blocks, so the filled matrices equal that chain's output bit for bit.
+
+    The columns of ``system``, and ``unknown`` with them, are stored in the
+    fill-reducing order COLAMD gives the chain's system, ``argsort`` of
+    SuperLU's ``perm_c``, taken once from the first system filled.  The
+    pattern keeps every element-pair entry, zeros included, so every step's
+    system has this one structure and COLAMD, which reads the structure
+    alone, would return the same order each time.  ``linear_solve`` keeps
+    the given column order, and SuperLU then builds the same column
+    elimination tree and pivots on the same values: each solution has the
+    bytes of ``spsolve`` with COLAMD on the unordered system, without
+    ordering it again.
     """
 
     unknown: np.ndarray
@@ -138,9 +166,11 @@ def _with_data(ids, data):
     return type(ids)((data, ids.indices, ids.indptr), shape=ids.shape)
 
 
-def _adjoint_pattern(problem: Problem, formulation: int) -> AdjointPattern:
-    """Push entry ids through the sparse chain of the adjoint system, once
-    per Problem and formulation."""
+def _adjoint_pattern(problem: Problem, formulation: int,
+                     data: np.ndarray) -> AdjointPattern:
+    """Push entry ids through the sparse chain of the adjoint system, and
+    order its columns by COLAMD on the system ``data`` fills, once per
+    Problem and formulation."""
     mesh = problem.mesh
     ndofe, nen = mesh.elem_udofs.shape[1], mesh.nodes_per_elem
     widths = [(ndofe, ndofe)]
@@ -161,12 +191,20 @@ def _adjoint_pattern(problem: Problem, formulation: int) -> AdjointPattern:
     system = ids[0] if formulation == 1 else sp.bmat(
         [ids[:2], ids[2:]], format="csr")
     rows = system.T.tocsr()[unknown]
-    on_unknown = rows[:, unknown].tocsc().astype(np.intp)
     on_pres = rows[:, problem.prescribed_dofs].astype(np.intp)
+    unordered = AdjointPattern(
+        unknown=unknown, system=rows[:, unknown].tocsc().astype(np.intp),
+        coupling=on_pres, n_entries=start)
+    try:
+        perm_c = splu(unordered.fill(data)[0], permc_spec="COLAMD").perm_c
+    except RuntimeError as err:     # SuperLU: the factor is singular
+        raise SolverError(f"adjoint system: {err}") from err
+    order = np.argsort(perm_c)
+    on_unknown = unordered.system[:, order]
     for matrix in (on_unknown, on_pres):
         matrix.indices.flags.writeable = False
         matrix.indptr.flags.writeable = False
-    return AdjointPattern(unknown=unknown, system=on_unknown,
+    return AdjointPattern(unknown=unknown[order], system=on_unknown,
                           coupling=on_pres, n_entries=start)
 
 
@@ -187,12 +225,12 @@ def adjoint_solve(blocks, du_full: np.ndarray, problem: Problem,
         parts = [blocks.k_uu, blocks.k_ud, blocks.k_du, blocks.k_dd]
     else:
         raise ValueError("formulation must be 1 or 2")
+    data = np.concatenate([part.data for part in parts])
     pattern = problem.adjoint_patterns.get(formulation)
     if pattern is None:
-        pattern = _adjoint_pattern(problem, formulation)
+        pattern = _adjoint_pattern(problem, formulation, data)
         problem.adjoint_patterns[formulation] = pattern
-    system, coupling = pattern.fill(
-        np.concatenate([part.data for part in parts]))
+    system, coupling = pattern.fill(data)
 
     ku = problem.mesh.n_udof
     pres = problem.prescribed_dofs

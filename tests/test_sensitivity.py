@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from fractop import config
 from fractop import forward as fwd
@@ -177,22 +177,25 @@ def shipped(name, **changes):
 
 
 @pytest.fixture(scope="module")
-def strip_and_block():
-    # the plastic, cracked 12x4 ductile strip at 25 steps and the elastic
-    # hexahedral block
-    return {"strip": shipped("ductile_strip2d.ini", counts=(12, 4),
+def histories():
+    # the shipped 20x8 bend the optimizer starts from, the plastic, cracked
+    # 12x4 ductile strip at 25 steps and the elastic hexahedral block; each
+    # on a Problem of its own, since the tests below inspect its adjoint
+    # patterns
+    return {"bend": shipped("bend2d.ini"),
+            "strip": shipped("ductile_strip2d.ini", counts=(12, 4),
                              steps=25),
             "block": shipped("block3d_elastic.ini")}
 
 
 class TestAdjointSystemFill:
-    @pytest.mark.parametrize("case", ["strip", "block"])
+    @pytest.mark.parametrize("case", ["bend", "strip", "block"])
     @pytest.mark.parametrize("formulation", [1, 2])
     def test_adjoints_have_the_bytes_of_the_sparse_chain(
-            self, strip_and_block, case, formulation):
+            self, histories, case, formulation):
         # reference: the system built per step by bmat, a transpose, the
-        # row and column slices and spsolve
-        prob, traj = strip_and_block[case]
+        # row and column slices and spsolve with its default COLAMD order
+        prob, traj = histories[case]
         if case == "strip":
             assert traj.qstates[-1].alpha.max() > 0.0
             assert traj.fields[-1].d.max() > fwd.ONSET_CRACK
@@ -224,16 +227,37 @@ class TestAdjointSystemFill:
                 assert lam_d.tobytes() == lam[ku:].tobytes()
             else:
                 assert lam_d is None
+        # the stored column order, taken at step 1, is COLAMD's order of
+        # the last step's system too: it belongs to the structure
+        order = np.argsort(splu(rows[:, unknown].tocsc()).perm_c)
+        pattern = prob.adjoint_patterns[formulation]
+        assert np.array_equal(pattern.unknown, unknown[order])
+
+    def test_singular_first_system_raises_solver_error(self):
+        # the column order is taken from a factorization of the first
+        # system; a singular one fails as a solve does, not with SuperLU's
+        # bare RuntimeError
+        prob, traj = shipped("block3d_elastic.ini")
+        blocks = fwd.assemble_tangent_blocks(
+            prob, sweep_of(prob, traj.fields[1], traj.qstates[0]),
+            traj.qstates[0], 1)
+        blocks.k_uu.data[:] = 0.0
+        du = traj.fields[1].u - traj.fields[0].u
+        with pytest.raises(fwd.SolverError):
+            sens.adjoint_solve(blocks, du, prob, 1)
+        assert prob.adjoint_patterns == {}
 
     @pytest.mark.parametrize("formulation", [1, 2])
     def test_no_bmat_or_coo_conversion_after_the_first_step(
             self, monkeypatch, formulation):
-        # the patterns are built while step 1 is solved; later steps only
-        # gather into them
+        # the patterns and their column order are built while step 1 is
+        # solved; later steps only gather into them, and every solve keeps
+        # the stored column order
         prob = make_cantilever()
         traj = fwd.run_load_history(prob, 3, -1e-3, fwd.SolverSettings())
-        calls = {"bmat": 0, "coo_tocsr": 0}
+        calls = {"bmat": 0, "coo_tocsr": 0, "splu": 0}
         at_step = []
+        orders = []
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
@@ -245,15 +269,72 @@ class TestAdjointSystemFill:
             at_step.append(dict(calls))
             return fwd.constitutive_sweep(*args, **kwargs)
 
+        def ordered(*args, **kwargs):
+            orders.append(kwargs.get("permc_spec"))
+            return spsolve(*args, **kwargs)
+
         monkeypatch.setattr(sp, "bmat", counted("bmat", sp.bmat))
         monkeypatch.setattr(sp._coo._coo_base, "tocsr",
                             counted("coo_tocsr", sp._coo._coo_base.tocsr))
+        monkeypatch.setattr(sens, "splu", counted("splu", sens.splu))
         monkeypatch.setattr(sens, "constitutive_sweep", opening)
+        monkeypatch.setattr(fwd, "spsolve", ordered)
         sens.adjoint_sweep(prob, traj, formulation)
-        assert at_step[0] == {"bmat": 0, "coo_tocsr": 0}
+        assert at_step[0] == {"bmat": 0, "coo_tocsr": 0, "splu": 0}
         assert at_step[1]["coo_tocsr"] > 0
         assert at_step[1]["bmat"] == (1 if formulation == 2 else 0)
+        assert at_step[1]["splu"] == 1
         assert at_step[1] == at_step[2] == calls
+        assert orders == ["NATURAL"] * traj.n_steps
+
+
+class TestKernelsRepeatTheEinsum:
+    """The explicit sums of the adjoint's element kernels against the
+    einsums they replaced, byte for byte."""
+
+    @pytest.fixture(scope="class", params=[
+        ("bend2d.ini", {}), ("ductile_strip2d.ini", {"counts": (12, 4)}),
+        ("block3d_elastic.ini", {})], ids=["bend", "strip", "block"])
+    def problem(self, request):
+        name, changes = request.param
+        return config.build_problem(
+            replace(config.load_config(CONFIG_DIR / name), **changes))
+
+    @staticmethod
+    def field(rng, shape):
+        # random values with exact +0.0 and -0.0 mixed in
+        values = rng.standard_normal(shape)
+        values[rng.random(shape) < 0.2] = 0.0
+        values[rng.random(shape) < 0.2] = -0.0
+        return values
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stress_shape_blocks(self, problem, seed):
+        mesh = problem.mesh
+        rng = np.random.default_rng(seed)
+        s = self.field(rng, mesh.b_u.shape[:3])
+        ref = np.einsum("eqsi,eqs,qa,eq->eia", mesh.b_u, s, mesh.shape_n,
+                        mesh.w_detj)
+        got = fwd.stress_shape_blocks(problem, s)
+        assert got.tobytes() == ref.tobytes()
+        # an element subset, as K_du's active elements use it
+        for size in (1, max(1, mesh.n_elems // 3)):
+            hot = np.sort(rng.choice(mesh.n_elems, size, replace=False))
+            ref = np.einsum("eqsi,eqs,qa,eq->eia", mesh.b_u[hot], s[hot],
+                            mesh.shape_n, mesh.w_detj[hot])
+            got = fwd.stress_shape_blocks(problem, s[hot], hot)
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_crack_residual_phi_kernel(self, problem, seed):
+        mesh = problem.mesh
+        rng = np.random.default_rng(seed)
+        gradw = self.field(rng, mesh.w_detj.shape)
+        grad_d = self.field(rng, mesh.dn_dx.shape[:2] + (mesh.dimension,))
+        ref = np.einsum("eq,eqbd,eqd,qa->eba", gradw, mesh.dn_dx, grad_d,
+                        mesh.shape_n)
+        got = sens._gradient_shape_blocks(mesh, gradw, grad_d)
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestResidualPhiDerivative:
