@@ -1,6 +1,8 @@
 """Print one SHA-256 digest per state array of five shipped scenarios: every
 level's fields and quadrature state, the solver statistics and reactions of
-the load history, and every adjoint and G_S of Formulations 1 and 2.
+the load history, and every adjoint and G_S of Formulations 1 and 2.  Three
+of them also digest the finite-difference sensitivity at two interior solid
+nodes, whose forward solves use the regularized transition.
 
 Run from the repository root with ``PYTHONPATH=src``.  Two versions of the
 code compute the same bits when their outputs are identical on one machine;
@@ -17,6 +19,7 @@ import numpy as np
 from fractop import config
 from fractop.forward import run_load_history
 from fractop.sensitivity import adjoint_sweep, solid_sensitivity
+from fractop.verify import fd_sensitivity, interior_solid_nodes
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -28,6 +31,9 @@ CASES = (
     ("strip_12x4", "ductile_strip2d.ini", {"counts": (12, 4), "steps": 25}),
     ("block3d", "block3d_elastic.ini", {}),
 )
+# scenarios whose finite-difference sensitivity is digested as well
+FD_CASES = ("bend_20x8", "strip_12x4", "block3d")
+FD_DELTA = 1e-4
 
 
 def digest(value) -> str:
@@ -36,7 +42,7 @@ def digest(value) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def items(name, changes):
+def items(name, changes, with_fd):
     """(item, value) pairs of one scenario, in a fixed order."""
     cfg = replace(config.load_config(CONFIGS / name), **changes)
     problem = config.build_problem(cfg)
@@ -56,11 +62,17 @@ def items(name, changes):
             if adj.lambda_d is not None:
                 yield f"F{formulation} step {n} lambda_d", adj.lambda_d
         yield f"F{formulation} G_S", solid_sensitivity(adjoints)
+    if with_fd:
+        nodes = interior_solid_nodes(problem)
+        for node in nodes[[0, nodes.size // 2]]:
+            yield f"FD node {node}", np.array(fd_sensitivity(
+                problem, int(node), FD_DELTA, cfg.steps,
+                cfg.displacement_per_step, cfg.solver))
 
 
 def main():
     for label, name, changes in CASES:
-        for item, value in items(name, changes):
+        for item, value in items(name, changes, label in FD_CASES):
             print(f"{label} {item} {digest(value)}")
 
 

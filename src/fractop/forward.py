@@ -41,19 +41,18 @@ of K_ud, K_du and dR_u/dPhi (``stress_shape_blocks``) reads B without its
 structural zeros from the same operators and sums in the order of the
 einsum it replaces, so its bytes are that einsum's.
 
-The solid/void transition f(phi) is chosen once per problem:
-``Problem.transition`` uses the exact Heaviside unless
-``Problem.regularized`` is set, which only the finite-difference arm of the
-sensitivity check does (``verify``).  Every solve on a problem therefore
-sees one transition; the constitutive sweep stores it on the
-``StressResult`` (``fphi``) and the assembly reads it from there.
-
 What phi fixes is computed once per topology: ``Problem.layout`` returns
-phi and f(phi) at the quadrature points and the l_f^2 f(phi) grad N . grad N
-term of the K_dd element blocks (``TopologyLayout``).  A load history builds
-it once and passes it to every sweep and crack assembly; an adjoint sweep
-does the same.  It is passed, never cached on the Problem, because the
-finite-difference arm's regularized copy shares the Problem's caches.
+phi, the solid/void transition f(phi) and its regularized slope at the
+quadrature points, and the l_f^2 f(phi) grad N . grad N term of the K_dd
+element blocks (``TopologyLayout``).  It is the one place that picks the
+transition: the exact Heaviside, or with ``regularized`` its logistic
+counterpart, which only the finite-difference arm of the sensitivity check
+asks for (``run_load_history(..., regularized=True)`` in ``verify``).  A
+load history builds its layout once and passes it to every sweep and crack
+assembly; an adjoint sweep does the same.  The constitutive sweep stores
+f(phi) on the ``StressResult`` (``fphi``) and the assembly reads it from
+there.  A layout is passed, never cached on the Problem, so one Problem
+serves both transitions.
 
 Within a staggered pass the end-of-pass residual and the next pass's crack
 solve read one ``crack_operator`` (K_dd element blocks and crack load) of
@@ -76,6 +75,7 @@ from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import spsolve
 
 from . import material as mat
+from .levelset import dirac_regularized, heaviside_regularized
 from .material import MaterialParams, QuadState
 from .mesh import Mesh, csr_summation_order, element_pairs
 
@@ -195,7 +195,6 @@ class Problem:
     driven: tuple
     body_force: np.ndarray = None
     l_delta: float = 5.0        # width of the regularized Heaviside and Dirac
-    regularized: bool = False   # logistic Heaviside in f(phi), FD arm only
 
     prescribed_dofs: np.ndarray = field(init=False)
     driven_dofs: np.ndarray = field(init=False)
@@ -241,23 +240,24 @@ class Problem:
         return QuadState.zeros((self.mesh.n_elems,
                                 len(self.mesh.quad_rule.weights)))
 
-    def transition(self, phi_qp) -> np.ndarray:
-        """Solid/void transition f(phi) at quadrature points, exact or
-        regularized as ``regularized`` picks."""
-        return mat.transition_f(phi_qp, self.params.kappa,
-                                self.l_delta if self.regularized else None)
-
-    def layout(self, phi) -> "TopologyLayout":
+    def layout(self, phi, regularized: bool = False) -> "TopologyLayout":
         """What the nodal topological field ``phi`` fixes for every solve on
-        it; see ``TopologyLayout``."""
+        it, with the exact Heaviside in f(phi) or, if ``regularized``, the
+        logistic one of width ``l_delta``; see ``TopologyLayout``."""
         mesh = self.mesh
+        kappa = self.params.kappa
         gg = self.operators.gg
         phi_qp = mesh.interpolate(phi)
-        fphi = self.transition(phi_qp)
+        fphi = mat.transition_f(phi_qp, kappa,
+                                self.l_delta if regularized else None)
+        dfphi = (2.0 * (1.0 - kappa)
+                 * heaviside_regularized(phi_qp, self.l_delta)
+                 * dirac_regularized(phi_qp, self.l_delta))
         gradw = mesh.w_detj * self.params.l_f ** 2 * fphi
         kdd_grad = (gradw[:, None, :]
                     @ gg.reshape(mesh.n_elems, gg.shape[1], -1))[:, 0]
-        return TopologyLayout(phi_qp=phi_qp, fphi=fphi, kdd_grad=kdd_grad)
+        return TopologyLayout(phi_qp=phi_qp, fphi=fphi, dfphi=dfphi,
+                              kdd_grad=kdd_grad)
 
     @cached_property
     def uu_band(self) -> "BandPattern":
@@ -286,13 +286,16 @@ class TopologyLayout:
     history or adjoint sweep.
 
     ``phi_qp`` is phi at the quadrature points, ``fphi`` the transition
-    f(phi) the problem picks there, and ``kdd_grad[e]`` the flattened
-    gradient term sum_q w l_f^2 f(phi) grad N_a . grad N_b of the element
-    K_dd blocks.
+    f(phi) there, exact or regularized as the layout was asked for, and
+    ``dfphi`` the slope 2 (1 - kappa) H(phi) delta(phi) of the regularized
+    transition, which stands in for the slope in dR/dPhi whichever f(phi)
+    the forward used.  ``kdd_grad[e]`` is the flattened gradient term
+    sum_q w l_f^2 f(phi) grad N_a . grad N_b of the element K_dd blocks.
     """
 
     phi_qp: np.ndarray
     fphi: np.ndarray
+    dfphi: np.ndarray
     kdd_grad: np.ndarray
 
 
@@ -705,15 +708,15 @@ def newton_displacement(problem: Problem, fields: FieldSet,
 
 def staggered_step(problem: Problem, fields_prev: FieldSet,
                    qstate_prev: QuadState, load_value: float,
-                   settings: SolverSettings, layout: TopologyLayout = None,
+                   settings: SolverSettings, layout: TopologyLayout,
                    opening_history=None):
     """Alternate crack-field and displacement solves until the combined
     residual drops below the staggered tolerance; commits the quadrature
     state and history on exit.
 
-    ``layout`` is ``problem.layout(fields_prev.phi)``, built here when not
-    given.  One constitutive sweep opens the step, unless the caller passes
-    its tentative history as ``opening_history``.  Every later pass reuses
+    ``layout`` is the ``Problem.layout`` of ``fields_prev.phi``.  One
+    constitutive sweep opens the step, unless the caller passes its
+    tentative history as ``opening_history``.  Every later pass reuses
     the previous pass's final Newton sweep and the tentative history built
     from it: that sweep was taken at the current u, d and phi with the same
     ``qstate_prev``, which is exactly the sweep the pass would otherwise
@@ -724,8 +727,6 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
     """
     mesh = problem.mesh
     fields = fields_prev.copy()
-    if layout is None:
-        layout = problem.layout(fields.phi)
 
     stats = StepStats()
     ref = None
@@ -788,11 +789,13 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
 
 
 def run_load_history(problem: Problem, n_steps: int, du_per_step: float,
-                     settings: SolverSettings = None, phi=None) -> Trajectory:
+                     settings: SolverSettings = None, phi=None,
+                     regularized: bool = False) -> Trajectory:
     """March the prescribed displacement in ``n_steps`` uniform increments
     on a fixed topology, recording every committed state.
 
-    The topology's layout is built once.  A step that follows a level with
+    The topology's layout is built once, with the regularized transition if
+    ``regularized`` (``Problem.layout``).  A step that follows a level with
     no plastic increment skips its opening sweep: that sweep would repeat
     the last sweep of the step before (same u, d and phi; the plastic state
     it starts from is the one that sweep started from), whose tentative
@@ -804,7 +807,7 @@ def run_load_history(problem: Problem, n_steps: int, du_per_step: float,
     settings = settings or SolverSettings()
     fields = problem.initial_fields(phi)
     qstate = problem.initial_state()
-    layout = problem.layout(fields.phi)
+    layout = problem.layout(fields.phi, regularized)
 
     traj = Trajectory()
     traj.fields.append(fields.copy())

@@ -163,9 +163,10 @@ def transition_f(phi, kappa, l_delta: float = None):
     With the exact (idempotent) Heaviside the quadratic penalty equals the
     linear form.  A width ``l_delta`` swaps in the logistic regularized
     Heaviside of that width, keeping the square so the slope matches the
-    analytic 2 H delta factor; the forward solver picks one of the two per
-    problem (``forward.Problem.transition``), and only the finite-difference
-    arm of the sensitivity check picks the regularized one.
+    analytic 2 H delta factor.  The forward solver picks one of the two per
+    topology layout (``forward.Problem.layout``), and only the
+    finite-difference arm of the sensitivity check picks the regularized
+    one.
     """
     h = (heaviside_exact(phi) if l_delta is None
          else heaviside_regularized(phi, l_delta))

@@ -68,7 +68,6 @@ class OptimizerState:
     lambda_v: float = 0.0
     expected_volume: float = 1.0
     sensitivity_history: list = field(default_factory=list)
-    objective_history: list = field(default_factory=list)
 
 
 @dataclass
@@ -226,7 +225,6 @@ def run_optimization(problem: Problem, topo: TopoParams,
                     settings)
             bracket_ok = bracket_ok and diag["bracket_ok"]
             state.lambda_v = lam
-            state.objective_history.append(objective)
 
             stagger_max = max((s.stagger_iterations
                                for s in trajectory.stats), default=0)
@@ -244,8 +242,8 @@ def run_optimization(problem: Problem, topo: TopoParams,
             volume_ok = abs(diag["chi"] - settings.target_volume) \
                 <= VOLUME_TOL
             reached_target = reached_target or volume_ok
-            if len(state.objective_history) >= 2:
-                prev = state.objective_history[-2]
+            if len(records) >= 2:
+                prev = records[-2].objective
                 denom = max(abs(objective), 1e-14)
                 if abs(objective - prev) / denom < STAGNATION_TOL:
                     stagnant += 1

@@ -29,7 +29,6 @@ from scipy.sparse.linalg import splu
 from .forward import (Problem, SolverError, Trajectory,
                       assemble_tangent_blocks, constitutive_sweep,
                       linear_solve, stress_shape_blocks)
-from .levelset import dirac_regularized, heaviside_regularized
 
 log = logging.getLogger("fractop")
 
@@ -72,22 +71,19 @@ def residual_phi_derivative(problem: Problem, d, sweep):
     and dR_d/dPhi is returned as None: Formulation 1 has no crack adjoint
     to pair it with.
 
-    The Heaviside slope is replaced by the regularized Dirac; plastic
-    variables and the crack driving history are held fixed, so only the
-    transition-function placements differentiate.  The quadratic transition
+    The transition's slope is the sweep layout's ``dfphi``: the Heaviside
+    slope is replaced by the regularized Dirac, and the quadratic transition
     penalty contributes its 2 H(phi) factor, which gates void points to
-    (near) zero sensitivity.
+    (near) zero sensitivity.  Plastic variables and the crack driving
+    history are held fixed, so only the transition-function placements
+    differentiate.
     """
     mesh = problem.mesh
     p = problem.params
-    kappa = p.kappa
     rows = mesh.voigt_rows
 
     result, _, layout = sweep
-    phi_qp = layout.phi_qp
-    dfac = (2.0 * (1.0 - kappa)
-            * heaviside_regularized(phi_qp, problem.l_delta)
-            * dirac_regularized(phi_qp, problem.l_delta))
+    dfac = layout.dfphi
 
     blk = stress_shape_blocks(problem, dfac[..., None]
                               * result.sigma_eff[..., rows])

@@ -5,23 +5,22 @@ at sampled material states.
 The finite-difference arm replaces the exact Heaviside in the solid/void
 transition by its regularized counterpart (the integral of the regularized
 Dirac); the analytic arm keeps the exact projection.  The arm's forward
-solves run on a shallow copy of the problem with ``Problem.regularized``
-set, the one place that flag is set; the copy shares the mesh-only caches
-(band patterns, element operators) with the caller's problem, and each
-load history builds its own (regularized) ``Problem.layout``.  The
-remaining discrepancy sources are the perturbation size and the
-regularization itself.
+solves run on the caller's problem, so they share its mesh-only caches
+(band patterns, element operators), and each load history builds its own
+regularized ``Problem.layout`` (``run_load_history(..., regularized=True)``).
+A probe whose forward solve fails (``SolverError``, ``FloatingPointError``)
+is reported as NaN; any other error propagates.  The remaining discrepancy
+sources are the perturbation size and the regularization itself.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import material as mat
-from .forward import Problem, SolverSettings, run_load_history
+from .forward import Problem, SolverError, SolverSettings, run_load_history
 from .levelset import heaviside_exact
 from .material import MaterialParams, QuadState
 from .sensitivity import adjoint_sweep, objective_total, solid_sensitivity
@@ -68,13 +67,8 @@ def _lagrangian(problem: Problem, phi, n_steps, du_per_step,
                 settings: SolverSettings) -> float:
     """Objective at a re-solved forward state with the regularized Heaviside
     driving the transition."""
-    # build the mesh caches on the caller's problem first, so the copy and
-    # every later probe share them
-    for cache in ("uu_band", "dd_band", "operators"):
-        getattr(problem, cache)
-    smooth = copy.copy(problem)
-    smooth.regularized = True
-    traj = run_load_history(smooth, n_steps, du_per_step, settings, phi=phi)
+    traj = run_load_history(problem, n_steps, du_per_step, settings, phi=phi,
+                            regularized=True)
     return objective_total(traj)
 
 
@@ -118,7 +112,7 @@ def compare_sensitivities(problem: Problem, nodes, n_steps: int,
         try:
             fd_v[i] = fd_sensitivity(problem, int(node), delta_phi, n_steps,
                                      du_per_step, settings, phi=base)
-        except Exception:
+        except (SolverError, FloatingPointError):
             fd_v[i] = np.nan   # a failed probe (FDReport.invalid)
     return FDReport(nodes=nodes, analytic=analytic_v, fd=fd_v,
                     rel_error=relative_error(analytic_v, fd_v),

@@ -10,6 +10,7 @@ from fractop import config
 from fractop import forward as fwd
 from fractop import material as mat
 from fractop import mesh as fm
+from fractop.levelset import dirac_regularized, heaviside_regularized
 
 from conftest import make_bend_beam, make_cantilever
 
@@ -151,13 +152,49 @@ class TestAssembleRd:
         assert np.linalg.eigvalsh(dense).min() > 0.0
 
 
+class TestLayout:
+    """``Problem.layout`` is the one place that picks the transition."""
+
+    @pytest.fixture
+    def case(self):
+        prob = make_cantilever()
+        rng = np.random.default_rng(5)
+        phi = rng.uniform(-1.0, 1.0, prob.mesh.n_nodes)
+        phi[:4] = (0.0, -0.0, 1e-3, -1e-3)
+        return prob, phi, prob.mesh.interpolate(phi)
+
+    def test_exact_transition_by_default(self, case):
+        prob, phi, phi_qp = case
+        expected = mat.transition_f(phi_qp, prob.params.kappa)
+        assert prob.layout(phi).fphi.tobytes() == expected.tobytes()
+
+    def test_regularized_transition_on_request(self, case):
+        prob, phi, phi_qp = case
+        expected = mat.transition_f(phi_qp, prob.params.kappa, prob.l_delta)
+        layout = prob.layout(phi, regularized=True)
+        assert layout.fphi.tobytes() == expected.tobytes()
+        assert not np.array_equal(layout.fphi, prob.layout(phi).fphi)
+
+    @pytest.mark.parametrize("regularized", [False, True])
+    def test_slope_is_the_regularized_one(self, case, regularized):
+        # the expression dR/dPhi evaluated at every step before the layout
+        # carried it
+        prob, phi, phi_qp = case
+        expected = (2.0 * (1.0 - prob.params.kappa)
+                    * heaviside_regularized(phi_qp, prob.l_delta)
+                    * dirac_regularized(phi_qp, prob.l_delta))
+        layout = prob.layout(phi, regularized=regularized)
+        assert layout.dfphi.tobytes() == expected.tobytes()
+
+
 class TestStaggeredStep:
     def test_elastic_subcritical_converges_in_one_pass(self):
         prob = small_problem()
         settings = fwd.SolverSettings()
+        start = prob.initial_fields()
         fields, qstate, stats = fwd.staggered_step(
-            prob, prob.initial_fields(), prob.initial_state(), 1e-3,
-            settings)
+            prob, start, prob.initial_state(), 1e-3, settings,
+            prob.layout(start.phi))
         assert stats.stagger_iterations == 1
         assert fields.d.max() == 0.0
 
@@ -176,9 +213,10 @@ class TestStaggeredStep:
                            driven=("right", (0,)))
         settings = fwd.SolverSettings()
         stretch = 0.05
+        start = prob.initial_fields()
         fields, qstate, stats = fwd.staggered_step(
-            prob, prob.initial_fields(), prob.initial_state(), stretch,
-            settings)
+            prob, start, prob.initial_state(), stretch, settings,
+            prob.layout(start.phi))
         d = fields.d
         assert d.max() > 0.0
         assert d.std() < 1e-9  # uniform state
@@ -197,12 +235,12 @@ class TestStaggeredStep:
     def test_rerun_is_deterministic_fixed_point(self):
         prob = make_bend_beam()
         settings = fwd.SolverSettings()
-        f1, q1, s1 = fwd.staggered_step(prob, prob.initial_fields(),
-                                        prob.initial_state(), -0.03,
-                                        settings)
-        f2, q2, s2 = fwd.staggered_step(prob, prob.initial_fields(),
-                                        prob.initial_state(), -0.03,
-                                        settings)
+        start = prob.initial_fields()
+        layout = prob.layout(start.phi)
+        f1, q1, s1 = fwd.staggered_step(prob, start, prob.initial_state(),
+                                        -0.03, settings, layout)
+        f2, q2, s2 = fwd.staggered_step(prob, start, prob.initial_state(),
+                                        -0.03, settings, layout)
         assert np.array_equal(f1.u, f2.u)
         assert np.array_equal(f1.d, f2.d)
         assert s1.stagger_iterations == s2.stagger_iterations
@@ -212,9 +250,10 @@ class TestStaggeredStep:
         prob = small_problem()
 
         def stalled():
+            start = prob.initial_fields()
             _, _, stats = fwd.staggered_step(
-                prob, prob.initial_fields(), prob.initial_state(), 1e-3,
-                fwd.SolverSettings())
+                prob, start, prob.initial_state(), 1e-3,
+                fwd.SolverSettings(), prob.layout(start.phi))
             return stats.stalled
 
         assert stalled() is False
@@ -246,9 +285,10 @@ class TestStaggeredStep:
                             counted("solve", fwd.linear_solve))
         monkeypatch.setattr(fwd, "_kdd_blocks",
                             counted("kdd", fwd._kdd_blocks))
+        start = prob.initial_fields()
         _, _, stats = fwd.staggered_step(
-            prob, prob.initial_fields(), prob.initial_state(), -0.03,
-            fwd.SolverSettings())
+            prob, start, prob.initial_state(), -0.03, fwd.SolverSettings(),
+            prob.layout(start.phi))
         assert stats.stagger_iterations > 2
         assert calls["sweep"] == (1 + stats.stagger_iterations
                                   + stats.newton_iterations)
@@ -261,12 +301,13 @@ class TestStaggeredStep:
     def test_warm_start_from_converged_state_needs_no_corrections(self):
         prob = small_problem()
         settings = fwd.SolverSettings()
+        start = prob.initial_fields()
+        layout = prob.layout(start.phi)
         fields, qstate, _ = fwd.staggered_step(
-            prob, prob.initial_fields(), prob.initial_state(), 1e-3,
-            settings)
+            prob, start, prob.initial_state(), 1e-3, settings, layout)
         again, _, stats = fwd.staggered_step(prob, fields,
                                              prob.initial_state(), 1e-3,
-                                             settings)
+                                             settings, layout)
         assert stats.newton_corrections == 0
         assert np.allclose(again.u, fields.u)
 
@@ -364,9 +405,10 @@ class TestLoadHistory:
         else:                # plastic levels take the opening sweep
             assert 0 < sum(plastic) < steps
         fields, qstate = prob.initial_fields(), prob.initial_state()
+        layout = prob.layout(fields.phi)
         for n in range(1, steps + 1):
             fields, qstate, stats = fwd.staggered_step(
-                prob, fields, qstate, n * du, settings)
+                prob, fields, qstate, n * du, settings, layout)
             assert stats == traj.stats[n - 1]
             for name in ("u", "d", "p_u"):
                 assert np.array_equal(getattr(fields, name),

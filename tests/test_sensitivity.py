@@ -1,4 +1,3 @@
-import copy
 from dataclasses import replace
 from pathlib import Path
 
@@ -382,13 +381,12 @@ class TestResidualPhiDerivative:
         state0 = traj.qstates[0]
         dru, _ = sens.residual_phi_derivative(prob, fields.d,
                                               sweep_of(prob, fields, state0))
-        smooth = copy.copy(prob)
-        smooth.regularized = True
 
         def ru_at(phiv):
-            res, _, _ = fwd.constitutive_sweep(smooth, fields.u, fields.d,
-                                               smooth.layout(phiv), state0)
-            return fwd.assemble_ru(smooth, res)
+            layout = prob.layout(phiv, regularized=True)
+            res, _, _ = fwd.constitutive_sweep(prob, fields.u, fields.d,
+                                               layout, state0)
+            return fwd.assemble_ru(prob, res)
 
         h = 1e-5
         for j in rng.choice(mesh.n_nodes, size=5, replace=False):

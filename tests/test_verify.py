@@ -4,6 +4,7 @@ import pytest
 from fractop import forward as fwd
 from fractop import material as mat
 from fractop import mesh as fm
+from fractop import sensitivity as sens
 from fractop import verify
 
 from conftest import make_cantilever
@@ -45,39 +46,57 @@ class TestFdSensitivity:
         assert fwd_diff == pytest.approx(-rev_diff, abs=1e-18)
         assert a == pytest.approx(-fwd_diff / 2e-4)
 
-    def test_regularized_twin_shares_mesh_caches(self, monkeypatch):
-        # the FD arm solves on a regularized copy of the caller's problem
-        # that reuses its band patterns and element operators, not rebuilds
+    def test_probe_solves_on_the_callers_problem(self, monkeypatch):
+        # the FD arm asks the caller's own problem for a regularized load
+        # history and leaves its fields and caches as they were
         prob = make_cantilever(nx=4, ny=2)
-        caches = (prob.uu_band, prob.dd_band, prob.operators)
-        solved_on = []
+        traj = fwd.run_load_history(prob, 1, -1e-3)
+        sens.adjoint_sweep(prob, traj, 1)     # builds every cache
+        before = dict(vars(prob))
+        assert {"uu_band", "dd_band", "operators"} <= before.keys()
+        arrays = {name: value.copy() for name, value in before.items()
+                  if isinstance(value, np.ndarray)}
+        patterns = dict(prob.adjoint_patterns)
+        calls = []
 
         def recording_run(problem, *args, **kwargs):
-            solved_on.append(problem)
+            calls.append((problem, kwargs))
             return fwd.run_load_history(problem, *args, **kwargs)
 
         monkeypatch.setattr(verify, "run_load_history", recording_run)
         verify._lagrangian(prob, np.ones(prob.mesh.n_nodes), 1, -1e-3,
                            fwd.SolverSettings())
-        (twin,) = solved_on
-        assert twin.regularized is True
-        assert twin.uu_band is caches[0]
-        assert twin.dd_band is caches[1]
-        assert twin.operators is caches[2]
-        assert prob.regularized is False
+        ((problem, kwargs),) = calls
+        assert problem is prob
+        assert kwargs["regularized"] is True
+        assert vars(prob).keys() == before.keys()
+        assert all(vars(prob)[name] is value
+                   for name, value in before.items())
+        assert all(np.array_equal(vars(prob)[name], value)
+                   for name, value in arrays.items())
+        assert prob.adjoint_patterns.keys() == patterns.keys()
+        assert all(prob.adjoint_patterns[key] is value
+                   for key, value in patterns.items())
 
     def test_probes_on_a_fresh_problem_build_the_caches_once(self,
                                                             monkeypatch):
-        # the FD arm builds the mesh caches on the caller's problem, so its
-        # copies share them even when no analytic solve ran first
+        # the FD arm solves on the caller's problem, so its probes share
+        # the mesh caches even when no analytic solve ran first
         built = []
         element_operators = fwd._element_operators
+        bands = []
+        band_pattern = fwd._band_pattern
 
         def counted(mesh):
             built.append(mesh)
             return element_operators(mesh)
 
+        def counted_band(order, *args):
+            bands.append(order.size)
+            return band_pattern(order, *args)
+
         monkeypatch.setattr(fwd, "_element_operators", counted)
+        monkeypatch.setattr(fwd, "_band_pattern", counted_band)
         prob = make_cantilever()
         settings = fwd.SolverSettings()
         counts = []
@@ -86,6 +105,7 @@ class TestFdSensitivity:
             counts.append(len(built))
             built.clear()
         assert counts == [1, 0]
+        assert sorted(bands) == [prob.mesh.n_nodes, prob.free_dofs.size]
 
     def test_deep_void_probe_in_dead_zone_is_negligible(self):
         # void block in the top-right corner, away from the load path
@@ -192,6 +212,19 @@ class TestCompareSensitivities:
         loose = report_for(1e-4)
         tight = report_for(1e-8)
         assert loose.mean_rel_error <= tight.mean_rel_error
+
+    def test_probe_errors_other_than_solve_failures_propagate(self,
+                                                             monkeypatch):
+        # only a failed forward solve makes a NaN probe; a programming
+        # error inside a probe surfaces
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected keyword argument")
+
+        monkeypatch.setattr(verify, "_lagrangian", broken)
+        prob = make_cantilever(nx=4, ny=2)
+        nodes = verify.interior_solid_nodes(prob)[:1]
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            verify.compare_sensitivities(prob, nodes, 1, -1e-3)
 
     def test_identical_pipelines_zero_error(self):
         rep = verify.FDReport(nodes=np.arange(3),
