@@ -1,6 +1,7 @@
-"""Print one SHA-256 digest per state array of five shipped scenarios: every
-level's fields and quadrature state, the solver statistics and reactions of
-the load history, and every adjoint and G_S of Formulations 1 and 2.  Three
+"""Print one SHA-256 digest per state array of five shipped scenarios: the
+band patterns of K_uu and K_dd and the mesh's CSR patterns, every level's
+fields and quadrature state, the solver statistics and reactions of the load
+history, and every adjoint and G_S of Formulations 1 and 2.  Three
 of them also digest the finite-difference sensitivity at two interior solid
 nodes, whose forward solves use the regularized transition.
 
@@ -46,6 +47,15 @@ def items(name, changes, with_fd):
     """(item, value) pairs of one scenario, in a fixed order."""
     cfg = replace(config.load_config(CONFIGS / name), **changes)
     problem = config.build_problem(cfg)
+    mesh = problem.mesh
+    for name in ("uu_band", "dd_band"):
+        band = getattr(problem, name)
+        for attr in ("order", "entries", "slots", "bandwidth"):
+            yield f"{name} {attr}", getattr(band, attr)
+    for width in (mesh.nodes_per_elem, mesh.elem_udofs.shape[1]):
+        pattern = mesh.csr_pattern(width, width)
+        for attr in ("order", "slots", "indices", "indptr"):
+            yield f"csr {width}x{width} {attr}", getattr(pattern, attr)
     traj = run_load_history(problem, cfg.steps, cfg.displacement_per_step,
                             cfg.solver)
     for n, (fields, qstate) in enumerate(zip(traj.fields, traj.qstates)):

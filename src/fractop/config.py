@@ -76,6 +76,12 @@ class RunConfig:
     l_delta: float = Problem.l_delta   # checked when the Problem is built
 
     def __post_init__(self):
+        for name, values in (("extents", self.extents),
+                             ("displacement_per_step",
+                              (self.displacement_per_step,)),
+                             ("body_force", self.body_force or ())):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite")
         # the optimizer's load history follows the run's, also on replace()
         self.optimization = replace(self.optimization, n_steps=self.steps,
                                     du_per_step=self.displacement_per_step)

@@ -73,10 +73,11 @@ def filter_field(kernel: FilterKernel, values: np.ndarray) -> np.ndarray:
     return (kernel.weights @ values) / kernel.row_sums
 
 
-def history_average(current: np.ndarray, prev1, prev2, iteration: int):
-    """Average the filtered sensitivity with its two predecessors once the
-    optimization is past its second iteration."""
+def history_average(current: np.ndarray, history):
+    """Average the filtered sensitivity with its two predecessors, the last
+    two entries of ``history``, once there are two; until then (the first
+    two iterations) return a copy of ``current``."""
     current = np.asarray(current, dtype=float)
-    if iteration <= 2 or prev1 is None or prev2 is None:
+    if len(history) < 2:
         return current.copy()
-    return (current + np.asarray(prev1) + np.asarray(prev2)) / 3.0
+    return (current + history[-1] + history[-2]) / 3.0

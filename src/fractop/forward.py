@@ -16,20 +16,12 @@ only the cap on staggered passes, the one rule that configurations vary.
 
 The two forward systems, K_uu on the free DOFs (Newton) and K_dd (crack
 solve), are symmetric positive definite.  They are assembled straight into
-LAPACK lower band storage and solved by banded Cholesky, LAPACK ``pbsv``
-looked up once at import and called without ``solveh_banded``'s per-call
-checks (same routine, same bits).  The band is narrow
-because the nodes are ordered along the grid's short axes first; each
-Problem builds that ordering and the scatter into the band once, on first
-use.  The adjoint systems (unsymmetric for Formulation 2) stay sparse and go
-through sparse LU.  Their tangent blocks are filled through the mesh's
-cached CSR patterns (``Mesh.assemble``), and ``sensitivity.adjoint_solve``
-gathers the blocks' data into the transposed system on the unknowns
-through a pattern each Problem also builds once per formulation, so no
-step converts COO to CSR, stacks, transposes or slices a sparse matrix.
-That pattern also stores the system's columns in COLAMD's order, found
-once, and ``linear_solve``'s sparse branch trusts the caller's column
-order: no step orders the same structure again.
+LAPACK lower band storage through the mesh's band patterns
+(``Mesh.band_pattern``), which each Problem builds once, on first use, and
+solved by banded Cholesky, LAPACK ``pbsv`` looked up once at import and
+called without ``solveh_banded``'s per-call checks (same routine, same
+bits).  The adjoint systems (unsymmetric for Formulation 2) stay sparse and
+go through sparse LU, in the column order the caller gives.
 
 The element matrices are weighted sums of quadrature-point operators that
 depend on the mesh alone, which each Problem also builds once, on first use
@@ -75,9 +67,8 @@ from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import spsolve
 
 from . import material as mat
-from .levelset import dirac_regularized, heaviside_regularized
 from .material import MaterialParams, QuadState
-from .mesh import Mesh, csr_summation_order, element_pairs
+from .mesh import Mesh
 
 log = logging.getLogger("fractop")
 
@@ -98,12 +89,10 @@ _PBSV, = get_lapack_funcs(("pbsv",), dtype=np.float64)
 
 class SolverError(RuntimeError):
     """Raised when a linear or nonlinear solve fails to produce a usable
-    state; carries diagnostic payload where available."""
+    state.  A load history that fails sets ``partial_trajectory`` to the
+    steps it committed."""
 
-    def __init__(self, message, residual=None, partial_trajectory=None):
-        super().__init__(message)
-        self.residual = residual
-        self.partial_trajectory = partial_trajectory
+    partial_trajectory = None
 
 
 @dataclass(frozen=True)
@@ -250,9 +239,7 @@ class Problem:
         phi_qp = mesh.interpolate(phi)
         fphi = mat.transition_f(phi_qp, kappa,
                                 self.l_delta if regularized else None)
-        dfphi = (2.0 * (1.0 - kappa)
-                 * heaviside_regularized(phi_qp, self.l_delta)
-                 * dirac_regularized(phi_qp, self.l_delta))
+        dfphi = mat.transition_slope(phi_qp, kappa, self.l_delta)
         gradw = mesh.w_detj * self.params.l_f ** 2 * fphi
         kdd_grad = (gradw[:, None, :]
                     @ gg.reshape(mesh.n_elems, gg.shape[1], -1))[:, 0]
@@ -260,17 +247,19 @@ class Problem:
                               kdd_grad=kdd_grad)
 
     @cached_property
-    def uu_band(self) -> "BandPattern":
-        """Band pattern of K_uu on the free DOFs, built on first use."""
-        dofs = self.mesh.udofs_of(_structured_node_order(self.mesh))
-        return _band_pattern(dofs[np.isin(dofs, self.free_dofs)],
-                             self.mesh.n_udof, self.mesh.elem_udofs)
+    def uu_band(self):
+        """``mesh.BandPattern`` of K_uu on the free DOFs, built on first
+        use."""
+        mesh = self.mesh
+        dofs = mesh.udofs_of(mesh.structured_order)
+        return mesh.band_pattern(dofs[np.isin(dofs, self.free_dofs)],
+                                 mesh.elem_udofs.shape[1])
 
     @cached_property
-    def dd_band(self) -> "BandPattern":
-        """Band pattern of K_dd, built on first use."""
-        return _band_pattern(_structured_node_order(self.mesh),
-                             self.mesh.n_nodes, self.mesh.conn)
+    def dd_band(self):
+        """``mesh.BandPattern`` of K_dd, built on first use."""
+        return self.mesh.band_pattern(self.mesh.structured_order,
+                                      self.mesh.nodes_per_elem)
 
     @cached_property
     def operators(self) -> "ElementOperators":
@@ -388,68 +377,6 @@ def _element_operators(mesh: Mesh) -> ElementOperators:
         kuu=np.concatenate([mm, pdev], axis=1).reshape(ne, 2 * nq,
                                                        ndofe * ndofe),
         b_rows=b_rows, b_kept=b_u[:, :, b_rows, np.arange(ndofe)])
-
-
-def _structured_node_order(mesh: Mesh) -> np.ndarray:
-    """Nodes sorted by coordinate, the axis with the most elements slowest
-    and the one with the fewest fastest (ties keep the mesh's own order).
-
-    On an ``nx`` x ``ny`` grid with ``ny <= nx`` the node half-bandwidth of
-    a Q1 matrix is then ``ny + 2``, against ``nx + 2`` in the mesh's own
-    x-fastest numbering (Cuthill & McKee 1969)."""
-    axes = np.argsort(mesh.counts, kind="stable")
-    return np.lexsort(mesh.coords[:, axes].T)
-
-
-@dataclass(frozen=True)
-class BandPattern:
-    """Scatter of element matrices into the lower band of an SPD matrix.
-
-    Band row/column ``k`` is global index ``order[k]`` (a free DOF or a
-    node); indices outside ``order`` are eliminated.  ``entries`` picks the
-    lower-triangle entries of the flattened element matrices and ``slots``
-    gives the flat position of each in the C-ordered ``(n, bandwidth + 1)``
-    transpose of LAPACK's lower band storage, so ``assemble`` returns the
-    Fortran-ordered array LAPACK works on, with no transposing copy.
-    """
-
-    order: np.ndarray
-    entries: np.ndarray
-    slots: np.ndarray
-    bandwidth: int
-
-    def assemble(self, blocks: np.ndarray) -> np.ndarray:
-        """Lower band, shape ``(bandwidth + 1, n)``, of the matrix the
-        element ``blocks`` sum to; its entry ``[i - j, j]`` is ``A[i, j]``.
-        Only the lower triangle is read, so the matrix is taken symmetric.
-        Each entry equals, bit for bit, the one ``Mesh.assemble`` sums from
-        the same blocks."""
-        n = self.order.size
-        band = np.bincount(self.slots,
-                           weights=blocks.reshape(-1)[self.entries],
-                           minlength=n * (self.bandwidth + 1))
-        return band.reshape(n, self.bandwidth + 1).T
-
-
-def _band_pattern(order, n_global, element_idx) -> BandPattern:
-    """Band pattern of the matrix summed from element blocks at global
-    indices ``element_idx[e, a]``, restricted and permuted to ``order``.
-
-    The kept entries are listed in the order ``tocsr`` sums them, so the
-    band repeats the CSR values (and so the rounding) of ``Mesh.assemble``.
-    """
-    rows, cols = element_pairs(element_idx, element_idx)
-    summation = csr_summation_order(rows, cols, (n_global, n_global))
-    position = np.full(n_global, -1)
-    position[order] = np.arange(order.size)
-    row = position[rows[summation]]
-    col = position[cols[summation]]
-    keep = (row >= col) & (col >= 0)
-    offset = row[keep] - col[keep]
-    band_width = int(offset.max(initial=0)) + 1
-    return BandPattern(order=order, entries=summation[keep],
-                       slots=col[keep] * band_width + offset,
-                       bandwidth=band_width - 1)
 
 
 def assemble_ru(problem: Problem, result: mat.StressResult):
@@ -619,7 +546,7 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` by one of two direct methods.
 
     - ``matrix`` an ndarray: the lower band of a symmetric positive definite
-      matrix, as ``BandPattern.assemble`` returns it, solved by banded
+      matrix, as ``mesh.BandPattern.assemble`` returns it, solved by banded
       Cholesky (LAPACK ``pbsv``, called directly; the band is left as it
       is).  The forward solves take this path: K_uu on the free DOFs in
       Newton and K_dd in the crack solve.  A band that is not positive
@@ -702,8 +629,8 @@ def newton_displacement(problem: Problem, fields: FieldSet,
         k_uu = band.assemble(_kuu_blocks(problem, result))
         u[band.order] += linear_solve(k_uu, -residual[band.order])
         corrections += 1
-    raise SolverError("displacement Newton failed to converge",
-                      residual=rnorm)
+    raise SolverError(f"displacement Newton failed to converge: residual "
+                      f"{rnorm:.3e}")
 
 
 def staggered_step(problem: Problem, fields_prev: FieldSet,
@@ -785,7 +712,8 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
             return fields, qstate_new, stats
         u_last = fields.u.copy()
         d_last = fields.d.copy()
-    raise SolverError("staggered scheme failed to converge", residual=res)
+    raise SolverError(f"staggered scheme failed to converge: residual "
+                      f"{res:.3e}")
 
 
 def run_load_history(problem: Problem, n_steps: int, du_per_step: float,

@@ -23,7 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .levelset import heaviside_exact, heaviside_regularized
+from .levelset import (dirac_regularized, heaviside_exact,
+                       heaviside_regularized)
 
 # double-contraction weights for tensor Voigt storage
 VOIGT_WEIGHT = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
@@ -171,6 +172,15 @@ def transition_f(phi, kappa, l_delta: float = None):
     h = (heaviside_exact(phi) if l_delta is None
          else heaviside_regularized(phi, l_delta))
     return (1.0 - kappa) * h ** 2 + kappa
+
+
+def transition_slope(phi, kappa, l_delta: float):
+    """Slope 2 (1-kappa) H(phi) delta(phi) of the regularized transition,
+    with the logistic Heaviside and Dirac of width ``l_delta``; dR/dPhi
+    takes it whichever transition the forward solve used."""
+    return (2.0 * (1.0 - kappa)
+            * heaviside_regularized(phi, l_delta)
+            * dirac_regularized(phi, l_delta))
 
 
 def crack_density(d, grad_d, l_f: float):

@@ -9,6 +9,17 @@ Displacement DOFs are interleaved per node.  Strains are engineering Voigt
 vectors, the normal rows then the ``_SHEAR_PAIRS`` rows that fit the
 dimension: 2D [exx, eyy, gxy], 3D [exx, eyy, ezz, gyz, gxz, gxy].  All field
 assemblies are driven by the arrays precomputed here.
+
+The mesh owns every sum of element arrays into global ones: vectors
+(``Mesh.scatter``), CSR matrices (``Mesh.assemble``, through one cached
+``CsrPattern`` per pair of block widths) and the LAPACK lower band storage
+of a symmetric positive definite matrix (``Mesh.band_pattern``), which the
+forward solves use for K_uu on the free DOFs and for K_dd.  Both patterns
+add up each entry's terms in the order ``tocsr`` does, so a band entry
+equals its CSR entry bit for bit.  The band is narrow because its rows
+follow ``Mesh.structured_order``, the nodes ordered along the grid's short
+axes first; each ``forward.Problem`` builds its two band patterns once, on
+first use.
 """
 
 from __future__ import annotations
@@ -93,9 +104,11 @@ class Mesh:
 
     ``scatter`` and ``assemble`` sum element arrays into global vectors and
     CSR matrices; ``assemble`` fills one ``CsrPattern`` per pair of block
-    widths, built on first use and cached.  The mesh's own operators,
-    ``mass_matrix`` (int N_a N_b) and ``laplace_matrix`` (int grad N_a .
-    grad N_b), are assembled on first use and cached.
+    widths, built on first use and cached.  ``band_pattern`` builds the
+    scatter into the lower band of a matrix on the global indices it is
+    given, which ``structured_order`` (cached) keeps narrow.  The mesh's own
+    operators, ``mass_matrix`` (int N_a N_b) and ``laplace_matrix`` (int
+    grad N_a . grad N_b), are assembled on first use and cached.
     """
 
     dimension: int
@@ -204,11 +217,72 @@ class Mesh:
         ``col_width`` columns, built on first use and cached."""
         key = (row_width, col_width)
         if key not in self._csr_patterns:
-            row_idx, n_rows = self._element_index(row_width)
-            col_idx, n_cols = self._element_index(col_width)
-            self._csr_patterns[key] = _csr_pattern(row_idx, col_idx,
-                                                   (n_rows, n_cols))
+            rows, cols, order, shape = self._summation(row_width, col_width)
+            first = np.ones(order.size, dtype=bool)
+            first[1:] = ((rows[order[1:]] != rows[order[:-1]])
+                         | (cols[order[1:]] != cols[order[:-1]]))
+            # tocsr's own structure, so the index dtype is scipy's choice too
+            csr = sp.coo_matrix((np.ones(order.size), (rows, cols)),
+                                shape=shape).tocsr()
+            for array in (csr.indices, csr.indptr):
+                array.flags.writeable = False
+            self._csr_patterns[key] = CsrPattern(
+                order=order, slots=np.cumsum(first) - 1, indices=csr.indices,
+                indptr=csr.indptr, shape=shape)
         return self._csr_patterns[key]
+
+    def band_pattern(self, order, width: int) -> "BandPattern":
+        """The ``BandPattern`` of element matrices ``(n_elems, width,
+        width)``, restricted and permuted to the global indices ``order``:
+        the indices left out of ``order`` are eliminated.  Built afresh on
+        every call; the caller keeps it.
+
+        The kept entries are listed in the order ``tocsr`` sums them, so the
+        band repeats the CSR values (and so the rounding) of ``assemble``.
+        """
+        rows, cols, summation, (size, _) = self._summation(width, width)
+        position = np.full(size, -1)
+        position[order] = np.arange(order.size)
+        row = position[rows[summation]]
+        col = position[cols[summation]]
+        keep = (row >= col) & (col >= 0)
+        offset = row[keep] - col[keep]
+        band_width = int(offset.max(initial=0)) + 1
+        return BandPattern(order=order, entries=summation[keep],
+                           slots=col[keep] * band_width + offset,
+                           bandwidth=band_width - 1)
+
+    def _summation(self, row_width: int, col_width: int):
+        """Global row ``rows`` and column ``cols`` of every entry ``[e, a,
+        b]`` of flattened element blocks of the two widths, the entries'
+        positions in the order in which ``tocsr`` adds up duplicates (rows
+        filled in input order, then scipy's own per-row sort of the column
+        indices) and the matrix shape."""
+        row_idx, n_rows = self._element_index(row_width)
+        col_idx, n_cols = self._element_index(col_width)
+        rows = np.repeat(row_idx, col_idx.shape[1], axis=1).ravel()
+        cols = np.tile(col_idx, (1, row_idx.shape[1])).ravel()
+        by_row = np.argsort(rows, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(
+            rows, minlength=n_rows))))
+        unsummed = sp.csr_matrix((by_row.astype(float), cols[by_row], indptr),
+                                 shape=(n_rows, n_cols))
+        unsummed.sort_indices()
+        return rows, cols, unsummed.data.astype(np.intp), (n_rows, n_cols)
+
+    @cached_property
+    def structured_order(self) -> np.ndarray:
+        """Nodes sorted by coordinate, the axis with the most elements
+        slowest and the one with the fewest fastest (ties keep the mesh's
+        own order); read-only.
+
+        On an ``nx`` x ``ny`` grid with ``ny <= nx`` the node half-bandwidth
+        of a Q1 matrix is then ``ny + 2``, against ``nx + 2`` in the mesh's
+        own x-fastest numbering (Cuthill & McKee 1969)."""
+        axes = np.argsort(self.counts, kind="stable")
+        order = np.lexsort(self.coords[:, axes].T)
+        order.flags.writeable = False
+        return order
 
     @cached_property
     def mass_matrix(self) -> sp.csr_matrix:
@@ -219,27 +293,6 @@ class Mesh:
     def laplace_matrix(self) -> sp.csr_matrix:
         return self.assemble(np.einsum("eq,eqad,eqbd->eab", self.w_detj,
                                        self.dn_dx, self.dn_dx))
-
-
-def element_pairs(row_idx, col_idx):
-    """Global row ``row_idx[e, a]`` and column ``col_idx[e, b]`` of every
-    entry ``[e, a, b]`` of the flattened element blocks."""
-    rows = np.repeat(row_idx, col_idx.shape[1], axis=1).ravel()
-    cols = np.tile(col_idx, (1, row_idx.shape[1])).ravel()
-    return rows, cols
-
-
-def csr_summation_order(rows, cols, shape) -> np.ndarray:
-    """Positions of the COO entries ``(rows, cols)`` in the order in which
-    ``tocsr`` adds up duplicates: rows filled in input order, then scipy's
-    own per-row sort of the column indices."""
-    by_row = np.argsort(rows, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows,
-                                                        minlength=shape[0]))))
-    unsummed = sp.csr_matrix((by_row.astype(float), cols[by_row], indptr),
-                             shape=shape)
-    unsummed.sort_indices()
-    return unsummed.data.astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -268,19 +321,34 @@ class CsrPattern:
                              shape=self.shape)
 
 
-def _csr_pattern(row_idx, col_idx, shape) -> CsrPattern:
-    rows, cols = element_pairs(row_idx, col_idx)
-    order = csr_summation_order(rows, cols, shape)
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = ((rows[order[1:]] != rows[order[:-1]])
-                 | (cols[order[1:]] != cols[order[:-1]]))
-    # tocsr's own structure, so the index dtype is scipy's choice too
-    csr = sp.coo_matrix((np.ones(order.size), (rows, cols)),
-                        shape=shape).tocsr()
-    for array in (csr.indices, csr.indptr):
-        array.flags.writeable = False
-    return CsrPattern(order=order, slots=np.cumsum(first) - 1,
-                      indices=csr.indices, indptr=csr.indptr, shape=shape)
+@dataclass(frozen=True)
+class BandPattern:
+    """Scatter of element matrices into the lower band of an SPD matrix.
+
+    Band row/column ``k`` is global index ``order[k]`` (a free DOF or a
+    node); indices outside ``order`` are eliminated.  ``entries`` picks the
+    lower-triangle entries of the flattened element matrices and ``slots``
+    gives the flat position of each in the C-ordered ``(n, bandwidth + 1)``
+    transpose of LAPACK's lower band storage, so ``assemble`` returns the
+    Fortran-ordered array LAPACK works on, with no transposing copy.
+    """
+
+    order: np.ndarray
+    entries: np.ndarray
+    slots: np.ndarray
+    bandwidth: int
+
+    def assemble(self, blocks: np.ndarray) -> np.ndarray:
+        """Lower band, shape ``(bandwidth + 1, n)``, of the matrix the
+        element ``blocks`` sum to; its entry ``[i - j, j]`` is ``A[i, j]``.
+        Only the lower triangle is read, so the matrix is taken symmetric.
+        Each entry equals, bit for bit, the one ``Mesh.assemble`` sums from
+        the same blocks."""
+        n = self.order.size
+        band = np.bincount(self.slots,
+                           weights=blocks.reshape(-1)[self.entries],
+                           minlength=n * (self.bandwidth + 1))
+        return band.reshape(n, self.bandwidth + 1).T
 
 
 def build_structured_mesh(dimension: int, counts, extents) -> Mesh:
@@ -300,8 +368,8 @@ def build_structured_mesh(dimension: int, counts, extents) -> Mesh:
         raise ValueError("counts/extents length must equal dimension")
     if any(c < 1 for c in counts):
         raise ValueError(f"element counts must be >= 1, got {counts}")
-    if any(e <= 0.0 for e in extents):
-        raise ValueError(f"extents must be > 0, got {extents}")
+    if not all(0.0 < e < np.inf for e in extents):
+        raise ValueError(f"extents must be finite and > 0, got {extents}")
 
     axes = [np.linspace(0.0, extents[k], counts[k] + 1) for k in range(dimension)]
     grids = np.meshgrid(*axes, indexing="ij")

@@ -13,7 +13,6 @@ outer loop are the module constants below.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -77,8 +76,6 @@ class ConvergenceRecord:
     volume_ratio: float
     lambda_v: float
     bisection_iterations: int
-    stagger_iterations_max: int
-    wall_time: float
 
 
 @dataclass
@@ -188,7 +185,6 @@ def run_optimization(problem: Problem, topo: TopoParams,
     reached_target = False
     try:
         for m in range(1, settings.max_outer_iterations + 1):
-            tic = time.perf_counter()
             trajectory = run_load_history(problem, settings.n_steps,
                                           settings.du_per_step, solver,
                                           phi=state.phi)
@@ -200,10 +196,8 @@ def run_optimization(problem: Problem, topo: TopoParams,
                                                  settings.formulation)
             g_s = sensitivity.solid_sensitivity(adjoints)
             g_tilde = filtering.filter_field(kernel, g_s)
-            past = state.sensitivity_history
-            g_hat = filtering.history_average(
-                g_tilde, past[-1] if past else None,
-                past[-2] if len(past) > 1 else None, m)
+            g_hat = filtering.history_average(g_tilde,
+                                              state.sensitivity_history)
             state.sensitivity_history.append(g_hat)
             del state.sensitivity_history[:-2]
 
@@ -226,13 +220,9 @@ def run_optimization(problem: Problem, topo: TopoParams,
             bracket_ok = bracket_ok and diag["bracket_ok"]
             state.lambda_v = lam
 
-            stagger_max = max((s.stagger_iterations
-                               for s in trajectory.stats), default=0)
             rec = ConvergenceRecord(
                 iteration=m, objective=objective, volume_ratio=diag["chi"],
-                lambda_v=lam, bisection_iterations=diag["iterations"],
-                stagger_iterations_max=stagger_max,
-                wall_time=time.perf_counter() - tic)
+                lambda_v=lam, bisection_iterations=diag["iterations"])
             records.append(rec)
             log.info("[m=%03d] J=%.9g chi=%.4f lambda_V=%.4g bisect=%d",
                      m, objective, diag["chi"], lam, diag["iterations"])

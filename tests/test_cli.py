@@ -34,6 +34,18 @@ def test_bad_config_value_exits_2(outdir, tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_non_finite_load_value_exits_2(outdir, tmp_path, capsys):
+    # caught before any solve, which would see non-finite strains
+    text = Path(CANTILEVER).read_text().replace(
+        "displacement_per_step = -1e-3", "displacement_per_step = nan")
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert cli.main(["forward-only", str(path)]) == 2
+    assert "config error: [loading] displacement_per_step = nan" in \
+        capsys.readouterr().err
+    assert not (outdir / "curves.csv").exists()
+
+
 def test_empty_load_region_exits_2(outdir, tmp_path, capsys):
     # a load box off the mesh used to run with zero reactions and exit 0
     text = Path(CANTILEVER).read_text().replace("load_box = 2 2 0.4 0.6",

@@ -168,12 +168,17 @@ class TestLoadConfig:
         ("topology", "velocity_cap = -1"),
         ("loading", "steps = three"),
         ("loading", "body_force = 0 x"),
+        ("loading", "body_force = nan 0"),
+        ("loading", "displacement_per_step = nan"),
+        ("loading", "displacement_per_step = inf"),
         ("loading", "tau_f = 0"),
         ("loading", "tau_f = -1e-4"),
         ("loading", "support1_box = 0 0 0 one"),
         ("loading", "support1_box = 0 0 2 3"),
         ("loading", "load_box = 3 4 0 1"),
         ("mesh", "counts = 10 x"),
+        ("mesh", "extents = nan 1.0"),
+        ("mesh", "extents = inf 1.0"),
         ("mesh", "dimension = 2.5"),
         ("solver", "stagger_max_iter = 0"),
         ("output", "snapshot_cadence = often"),

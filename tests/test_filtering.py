@@ -78,9 +78,9 @@ class TestFilterField:
         kernel = flt.build_kernel(mesh, 0.6)
         rng = np.random.default_rng(1)
         a, b, c = (rng.normal(size=mesh.n_nodes) for _ in range(3))
-        one = flt.history_average(flt.filter_field(kernel, a), b, c, 5)
+        one = flt.history_average(flt.filter_field(kernel, a), [c, b])
         scaled = flt.history_average(flt.filter_field(kernel, scale * a),
-                                     scale * b, scale * c, 5)
+                                     [scale * c, scale * b])
         assert np.allclose(scaled, scale * one, rtol=1e-10, atol=1e-12)
 
     def test_wrong_length_rejected(self, line_mesh):
@@ -92,20 +92,24 @@ class TestFilterField:
 class TestHistoryAverage:
     def test_all_equal(self):
         g = np.array([1.0, 2.0])
-        assert np.allclose(flt.history_average(g, g, g, 5), g)
+        assert np.allclose(flt.history_average(g, [g, g]), g)
 
     def test_arithmetic(self):
-        out = flt.history_average(np.array([3.0]), np.array([0.0]),
-                                  np.array([0.0]), 5)
+        out = flt.history_average(np.array([3.0]),
+                                  [np.array([0.0]), np.array([0.0])])
         assert out[0] == pytest.approx(1.0)
+        # only the last two predecessors count
+        out = flt.history_average(np.array([3.0]), [np.array([30.0]),
+                                                    np.array([0.0]),
+                                                    np.array([6.0])])
+        assert out[0] == 3.0
 
     def test_early_iterations_passthrough(self):
+        # the first two iterations have fewer than two predecessors
         cur = np.array([3.0])
-        assert flt.history_average(cur, np.array([9.0]), np.array([9.0]),
-                                   1)[0] == 3.0
-        assert flt.history_average(cur, np.array([9.0]), np.array([9.0]),
-                                   2)[0] == 3.0
-        assert flt.history_average(cur, None, None, 7)[0] == 3.0
+        assert flt.history_average(cur, [])[0] == 3.0
+        out = flt.history_average(cur, [np.array([9.0])])
+        assert out[0] == 3.0 and out is not cur
 
 
 def test_kernel_requires_positive_radius():

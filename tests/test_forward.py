@@ -567,25 +567,40 @@ class TestBandedSolve:
                 solveh_banded(band, rhs, lower=True, check_finite=False))
             assert np.array_equal(band, before)
 
-    def test_band_repeats_the_csr_matrix_bit_for_bit(self, ductile_state):
+    @pytest.fixture(scope="class")
+    def block_state(self):
+        # the elastic 4x2x2 hexahedral block at its last step, with a
+        # random crack driving force so that K_dd is not just N_a N_b
+        cfg, prob = config_problem("block3d_elastic.ini")
+        traj = fwd.run_load_history(prob, cfg.steps,
+                                    cfg.displacement_per_step, cfg.solver)
+        qstate = traj.qstates[-1].copy()
+        qstate.history = np.random.default_rng(3).uniform(
+            0.0, 5.0, qstate.history.shape)
+        return prob, traj.fields[-1], traj.qstates[-2], qstate
+
+    def test_band_repeats_the_csr_matrix_bit_for_bit(self, ductile_state,
+                                                     block_state):
         # the band sums each entry in the order tocsr does, so the forward
-        # solves see the same matrix as the CSR blocks of the adjoint
-        prob, fields, qstate_prev, qstate = ductile_state
-        result, _, layout = fwd.constitutive_sweep(
-            prob, fields.u, fields.d, prob.layout(fields.phi), qstate_prev)
-        cases = (
-            (prob.uu_band, fwd._kuu_blocks(prob, result)),
-            (prob.dd_band,
-             fwd._kdd_blocks(prob, qstate.history, layout)),
-        )
-        for pattern, blocks in cases:
-            csr = prob.mesh.assemble(blocks)
-            order = pattern.order
-            ref = np.tril(csr[order][:, order].toarray())
-            assert np.array_equal(np.tril(band_to_dense(
-                pattern.assemble(blocks))), ref)
-            rows, cols = np.nonzero(ref)
-            assert (rows - cols).max() == pattern.bandwidth
+        # solves see the same matrix as the CSR blocks of the adjoint, on
+        # quadrilaterals and on hexahedra
+        for prob, fields, qstate_prev, qstate in (ductile_state, block_state):
+            result, _, layout = fwd.constitutive_sweep(
+                prob, fields.u, fields.d, prob.layout(fields.phi),
+                qstate_prev)
+            cases = (
+                (prob.uu_band, fwd._kuu_blocks(prob, result)),
+                (prob.dd_band,
+                 fwd._kdd_blocks(prob, qstate.history, layout)),
+            )
+            for pattern, blocks in cases:
+                csr = prob.mesh.assemble(blocks)
+                order = pattern.order
+                ref = np.tril(csr[order][:, order].toarray())
+                assert np.array_equal(np.tril(band_to_dense(
+                    pattern.assemble(blocks))), ref)
+                rows, cols = np.nonzero(ref)
+                assert (rows - cols).max() == pattern.bandwidth
 
     @pytest.mark.parametrize("name,counts,uu,dd", [
         ("bend2d.ini", (80, 32), 69, 34),
@@ -636,13 +651,13 @@ class TestBandedSolve:
 
     def test_load_history_builds_each_pattern_once(self, monkeypatch):
         built = []
-        band_pattern = fwd._band_pattern
+        band_pattern = fm.Mesh.band_pattern
 
-        def counted(order, *args):
+        def counted(mesh, order, width):
             built.append(order.size)
-            return band_pattern(order, *args)
+            return band_pattern(mesh, order, width)
 
-        monkeypatch.setattr(fwd, "_band_pattern", counted)
+        monkeypatch.setattr(fm.Mesh, "band_pattern", counted)
         prob = make_bend_beam()
         for _ in range(2):
             traj = fwd.run_load_history(prob, 3, -0.01)

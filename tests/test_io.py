@@ -131,8 +131,7 @@ class TestCurves:
     def test_history_rows(self, tmp_path):
         recs = [ConvergenceRecord(iteration=1, objective=1.23456789123e-4,
                                   volume_ratio=0.97, lambda_v=1.0,
-                                  bisection_iterations=12,
-                                  stagger_iterations_max=3, wall_time=0.5)]
+                                  bisection_iterations=12)]
         path = tmp_path / "history.csv"
         export.write_history(path, recs)
         lines = path.read_text().splitlines()

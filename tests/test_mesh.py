@@ -35,6 +35,8 @@ def test_beam_mesh_counts_lexicographic():
     (2, [0, 1], [1, 1]),
     (2, [1, 1], [1, -1]),
     (2, [1, 1], [0, 1]),
+    (2, [1, 1], [float("nan"), 1]),
+    (2, [1, 1], [float("inf"), 1]),
     (4, [1, 1, 1, 1], [1, 1, 1, 1]),
 ])
 def test_invalid_mesh_arguments(args):
@@ -182,15 +184,15 @@ def test_scatter_and_assemble_match_a_dense_element_loop(dim, counts):
             assert csr.shape == (n_rows, n_cols)
             assert np.abs(csr.toarray() - dense).max() <= 1e-14
             # the pattern fill gives the bytes of COO -> CSR
-            ref = sp.coo_matrix(
-                (blocks.ravel(), fm.element_pairs(row_idx, col_idx)),
-                shape=(n_rows, n_cols)).tocsr()
+            pairs = (np.repeat(row_idx, col_idx.shape[1], axis=1).ravel(),
+                     np.tile(col_idx, (1, row_idx.shape[1])).ravel())
+            ref = sp.coo_matrix((blocks.ravel(), pairs),
+                                shape=(n_rows, n_cols)).tocsr()
             for name in ("data", "indices", "indptr"):
                 assert getattr(csr, name).dtype == getattr(ref, name).dtype
                 assert np.array_equal(getattr(csr, name),
                                       getattr(ref, name))
-            assert csr.nnz == len(set(zip(*fm.element_pairs(row_idx,
-                                                            col_idx))))
+            assert csr.nnz == len(set(zip(*pairs)))
             assert m.assemble(np.zeros_like(blocks)).nnz == csr.nnz
     assert m.assemble(np.ones((m.n_elems, dim * 2 ** dim, 2 ** dim))
                       ).shape == (m.n_udof, m.n_nodes)

@@ -85,18 +85,18 @@ class TestFdSensitivity:
         built = []
         element_operators = fwd._element_operators
         bands = []
-        band_pattern = fwd._band_pattern
+        band_pattern = fm.Mesh.band_pattern
 
         def counted(mesh):
             built.append(mesh)
             return element_operators(mesh)
 
-        def counted_band(order, *args):
+        def counted_band(mesh, order, width):
             bands.append(order.size)
-            return band_pattern(order, *args)
+            return band_pattern(mesh, order, width)
 
         monkeypatch.setattr(fwd, "_element_operators", counted)
-        monkeypatch.setattr(fwd, "_band_pattern", counted_band)
+        monkeypatch.setattr(fm.Mesh, "band_pattern", counted_band)
         prob = make_cantilever()
         settings = fwd.SolverSettings()
         counts = []
