@@ -3,7 +3,10 @@ band patterns of K_uu and K_dd and the mesh's CSR patterns, every level's
 fields and quadrature state, the solver statistics and reactions of the load
 history, and every adjoint and G_S of Formulations 1 and 2.  Three
 of them also digest the finite-difference sensitivity at two interior solid
-nodes, whose forward solves use the regularized transition.
+nodes, whose forward solves use the regularized transition.  After each
+scenario's digests, a ``tape bytes <label> <n>`` line gives the bytes of the
+distinct arrays its load history keeps (an array that several levels share
+counts once).
 
 Run from the repository root with ``PYTHONPATH=src``.  Two versions of the
 code compute the same bits when their outputs are identical on one machine;
@@ -43,8 +46,17 @@ def digest(value) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def items(name, changes, with_fd):
-    """(item, value) pairs of one scenario, in a fixed order."""
+def tape_bytes(traj) -> int:
+    """Bytes of the distinct arrays that the levels of ``traj`` hold."""
+    arrays = {id(a): a for f, q in zip(traj.fields, traj.qstates)
+              for a in (f.u, f.d, f.phi, f.p_u, q.eps_p, q.alpha, q.history,
+                        q.lambda_p)}
+    return sum(a.nbytes for a in arrays.values())
+
+
+def items(name, changes, with_fd, tape):
+    """(item, value) pairs of one scenario, in a fixed order; the load
+    history's ``tape_bytes`` go into ``tape["bytes"]``."""
     cfg = replace(config.load_config(CONFIGS / name), **changes)
     problem = config.build_problem(cfg)
     mesh = problem.mesh
@@ -63,6 +75,7 @@ def items(name, changes, with_fd):
             yield f"level {n} {attr}", getattr(fields, attr)
         for attr in ("eps_p", "alpha", "history", "lambda_p"):
             yield f"level {n} {attr}", getattr(qstate, attr)
+    tape["bytes"] = tape_bytes(traj)
     yield "stats", traj.stats
     yield "reaction", np.array(traj.reaction)
     for formulation in (1, 2):
@@ -82,8 +95,10 @@ def items(name, changes, with_fd):
 
 def main():
     for label, name, changes in CASES:
-        for item, value in items(name, changes, label in FD_CASES):
+        tape = {}
+        for item, value in items(name, changes, label in FD_CASES, tape):
             print(f"{label} {item} {digest(value)}")
+        print(f"tape bytes {label} {tape['bytes']}")
 
 
 if __name__ == "__main__":

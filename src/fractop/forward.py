@@ -53,6 +53,16 @@ sweep after a level with no plastic increment: the sweep would repeat that
 level's last one, so its tentative history is the committed history
 (``run_load_history``).  None of this moves a value: every committed state
 equals, bit for bit, what the sweeps and operators computed afresh give.
+
+What a history keeps: one copy of each state.  A committed level shares
+every array its step left unchanged with the level before: ``phi``, fixed
+for the whole history, and after an elastic step the plastic strain, the
+equivalent plastic strain and an all-zero multiplier, which
+``material.return_map`` then returns as they were.  Every array of every
+level is read-only, so a write raises instead of editing each level that
+shares it.  While a step runs, Newton and the staggered pass hold one
+constitutive sweep at a time, dropping the last before they take the next,
+and each band solve consumes its band: LAPACK factors it in place.
 """
 
 from __future__ import annotations
@@ -110,7 +120,10 @@ class SolverSettings:
 
 @dataclass
 class FieldSet:
-    """Nodal fields at one committed time level plus recovered reactions."""
+    """Nodal fields at one committed time level plus recovered reactions.
+
+    ``copy`` copies ``u``, ``d`` and ``p_u`` and shares ``phi``, which is
+    fixed for a whole load history."""
 
     u: np.ndarray       # (n_udof,)
     d: np.ndarray       # (n_nodes,) in [0, 1]
@@ -118,7 +131,7 @@ class FieldSet:
     p_u: np.ndarray     # (n_udof,) reactions, nonzero only at prescribed DOFs
 
     def copy(self) -> "FieldSet":
-        return FieldSet(self.u.copy(), self.d.copy(), self.phi.copy(),
+        return FieldSet(self.u.copy(), self.d.copy(), self.phi,
                         self.p_u.copy())
 
 
@@ -137,7 +150,10 @@ class Trajectory:
     """Committed snapshots over the load history (the adjoint's tape).
 
     ``fields[0]`` is the unloaded initial state; entry ``n`` corresponds to
-    load step ``n``.
+    load step ``n``.  Every array of every level is read-only, and a level
+    shares the arrays its step left unchanged with the level before: ``phi``
+    always, and ``eps_p``, ``alpha`` and ``lambda_p`` after an elastic step
+    (see the module docstring).
     """
 
     fields: list = field(default_factory=list)      # FieldSet per level
@@ -193,8 +209,8 @@ class Problem:
                                    repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.l_delta > 0:
-            raise ValueError("l_delta must be positive")
+        if not 0 < self.l_delta < np.inf:
+            raise ValueError("l_delta must be positive and finite")
         mesh = self.mesh
         pres = []
         for set_name, comps in self.supports:
@@ -349,14 +365,20 @@ class ElementOperators:
     - ``b_rows[k, i]`` is the k-th row of B that is not zero throughout
       column i (DOF i), in increasing order, shape (K, ndofe) with K = dim,
       and ``b_kept[e, q, k, i] = B[e, q, b_rows[k, i], i]``, shape
-      (ne, nq, K, ndofe): B without its structural zeros.
+      (ne, nq, K, ndofe): B without its structural zeros.  Only
+      ``stress_shape_blocks`` reads ``b_kept``, which the adjoint and
+      dR/dPhi call, so it is built from the mesh's ``b_u`` on first use.
     """
 
     nn: np.ndarray
     gg: np.ndarray
     kuu: np.ndarray
     b_rows: np.ndarray
-    b_kept: np.ndarray
+    b_u: np.ndarray = field(repr=False)   # the mesh's B, not a copy
+
+    @cached_property
+    def b_kept(self) -> np.ndarray:
+        return self.b_u[:, :, self.b_rows, np.arange(self.b_u.shape[-1])]
 
 
 def _element_operators(mesh: Mesh) -> ElementOperators:
@@ -376,7 +398,7 @@ def _element_operators(mesh: Mesh) -> ElementOperators:
         gg=np.einsum("eqad,eqbd->eqab", mesh.dn_dx, mesh.dn_dx),
         kuu=np.concatenate([mm, pdev], axis=1).reshape(ne, 2 * nq,
                                                        ndofe * ndofe),
-        b_rows=b_rows, b_kept=b_u[:, :, b_rows, np.arange(ndofe)])
+        b_rows=b_rows, b_u=b_u)
 
 
 def assemble_ru(problem: Problem, result: mat.StressResult):
@@ -547,10 +569,12 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
 
     - ``matrix`` an ndarray: the lower band of a symmetric positive definite
       matrix, as ``mesh.BandPattern.assemble`` returns it, solved by banded
-      Cholesky (LAPACK ``pbsv``, called directly; the band is left as it
-      is).  The forward solves take this path: K_uu on the free DOFs in
-      Newton and K_dd in the crack solve.  A band that is not positive
-      definite raises SolverError; there is no LU fallback.
+      Cholesky (LAPACK ``pbsv``, called directly).  The band is consumed:
+      LAPACK overwrites it with its Cholesky factor, so pass a band that is
+      not read again.  The forward solves take this path, each on a fresh
+      band: K_uu on the free DOFs in Newton and K_dd in the crack solve.  A
+      band that is not positive definite raises SolverError; there is no LU
+      fallback.
     - ``matrix`` a scipy sparse matrix: solved by sparse LU (SuperLU),
       ``spsolve`` on its CSC form in the column order given
       (``permc_spec="NATURAL"``): the caller's order is trusted to be
@@ -562,7 +586,7 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     if rhs.size == 0:
         return np.zeros(0)
     if isinstance(matrix, np.ndarray):
-        _, sol, info = _PBSV(matrix, rhs, lower=True)
+        _, sol, info = _PBSV(matrix, rhs, lower=True, overwrite_ab=True)
         if info > 0:
             raise SolverError(f"banded Cholesky failed, matrix not positive "
                               f"definite: {info}th leading minor")
@@ -627,7 +651,12 @@ def newton_displacement(problem: Problem, fields: FieldSet,
             break
         band = problem.uu_band
         k_uu = band.assemble(_kuu_blocks(problem, result))
-        u[band.order] += linear_solve(k_uu, -residual[band.order])
+        rhs = -residual[band.order]
+        # hold one sweep and one band at a time: this sweep goes before the
+        # next is computed, and the band once LAPACK has factored it
+        del result, residual
+        u[band.order] += linear_solve(k_uu, rhs)
+        del k_uu
         corrections += 1
     raise SolverError(f"displacement Newton failed to converge: residual "
                       f"{rnorm:.3e}")
@@ -665,6 +694,7 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
         result, _, _ = constitutive_sweep(
             problem, fields.u, fields.d, layout, qstate_prev)
         history_qp = tentative_history(problem, result, qstate_prev)
+        del result
     operator = crack_operator(problem, fields_prev.d, history_qp, layout)
     for k in range(1, settings.stagger_max_iter + 1):
         fields.d, overshoot = solve_crack_field(problem, fields_prev.d,
@@ -710,6 +740,7 @@ def staggered_step(problem: Problem, fields_prev: FieldSet,
             fields.p_u[problem.prescribed_dofs] = \
                 residual[problem.prescribed_dofs]
             return fields, qstate_new, stats
+        del result, residual   # the next pass holds its own sweep only
         u_last = fields.u.copy()
         d_last = fields.d.copy()
     raise SolverError(f"staggered scheme failed to converge: residual "
@@ -729,6 +760,7 @@ def run_load_history(problem: Problem, n_steps: int, du_per_step: float,
     it starts from is the one that sweep started from), whose tentative
     history the level already holds, so max(H^(n-1), H~) is H^(n-1).  Level
     0 holds zero history, which is also what a sweep at zero strain gives.
+    Each level goes on the tape as the step returned it, made read-only.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -738,8 +770,7 @@ def run_load_history(problem: Problem, n_steps: int, du_per_step: float,
     layout = problem.layout(fields.phi, regularized)
 
     traj = Trajectory()
-    traj.fields.append(fields.copy())
-    traj.qstates.append(qstate.copy())
+    _commit(traj, fields, qstate)
     traj.load_factor.append(0.0)
     traj.reaction.append(0.0)
 
@@ -754,13 +785,21 @@ def run_load_history(problem: Problem, n_steps: int, du_per_step: float,
             err.partial_trajectory = traj
             raise
         reaction = float(fields.p_u[problem.driven_dofs].sum())
-        # staggered_step returns a fresh FieldSet and QuadState, and
-        # nothing mutates them later, so each level is stored once
-        traj.fields.append(fields)
-        traj.qstates.append(qstate)
+        _commit(traj, fields, qstate)
         traj.load_factor.append(load)
         traj.reaction.append(reaction)
         traj.stats.append(stats)
         log.debug("[n=%03d] load=%.6g reaction=%.6g stagger=%d", n, load,
                   reaction, stats.stagger_iterations)
     return traj
+
+
+def _commit(traj: Trajectory, fields: FieldSet, qstate: QuadState):
+    """Append a level to the tape as it is, every array made read-only: the
+    next step copies what it changes, and a write into a shared array
+    raises instead of editing every level that holds it."""
+    for array in (fields.u, fields.d, fields.phi, fields.p_u, qstate.eps_p,
+                  qstate.alpha, qstate.history, qstate.lambda_p):
+        array.flags.writeable = False
+    traj.fields.append(fields)
+    traj.qstates.append(qstate)

@@ -37,6 +37,10 @@ class TopoParams:
         for name in ("eta_phi", "l_phi", "tau_phi"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        # tau_phi = inf is the steady limit of the pseudo-time step
+        for name in ("eta_phi", "l_phi"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 def heaviside_exact(phi):

@@ -60,6 +60,12 @@ class MaterialParams:
         for name in ("hardening_modulus", "yield_stress", "zeta", "eta_f"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
+        # an infinite threshold (psi_c, yield_stress) or time scale (tau_f)
+        # means "never" and is solved as such; a modulus or length is not
+        for name in ("bulk_modulus", "shear_modulus", "hardening_modulus",
+                     "l_f", "zeta", "eta_f"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError("kappa must lie in (0, 1)")
 
@@ -89,10 +95,6 @@ class QuadState:
         shape = tuple(np.atleast_1d(shape))
         return cls(eps_p=np.zeros(shape + (6,)), alpha=np.zeros(shape),
                    history=np.zeros(shape), lambda_p=np.zeros(shape))
-
-    def copy(self) -> "QuadState":
-        return QuadState(self.eps_p.copy(), self.alpha.copy(),
-                         self.history.copy(), self.lambda_p.copy())
 
 
 @dataclass
@@ -231,7 +233,11 @@ def return_map(eps_total: np.ndarray, state_n: QuadState, d, phi,
     When no point of the batch yields, the return is skipped: the trial
     deviator, its trace and 2 mu dev are the final ones and give sigma+ and
     psi+ directly.  The values are the ones the return would compute, bit
-    for bit, because at an elastic point it only adds zero increments.
+    for bit, because at an elastic point it only adds zero increments.  The
+    new state then holds ``state_n.eps_p`` and ``state_n.alpha`` themselves,
+    and ``state_n.lambda_p`` too when it is all zero; ``nhat`` is a
+    read-only zero view.  ``state_n`` holds one entry per point of the
+    batch, so a shared array has the shape a fresh one would.
     """
     eps = np.asarray(eps_total, dtype=float)
     if not np.all(np.isfinite(eps)):
@@ -262,14 +268,18 @@ def return_map(eps_total: np.ndarray, state_n: QuadState, d, phi,
         eps_p = state_n.eps_p + np.sqrt(1.5) * dlam[..., None] * nhat
         i1, dev_e = _trace_and_deviator(eps - eps_p)
         sig_plus = 2.0 * mu * dev_e
+        alpha = state_n.alpha + dlam
     else:
-        # the trial state is final; the zero increments below are what the
-        # return adds at an elastic point, so the values do not move
-        dlam = np.zeros(plastic.shape)
-        nhat = np.zeros(s_tr.shape)
-        eps_p = state_n.eps_p + nhat
+        # the trial state is final and the plastic state is the previous
+        # one.  eps_p and alpha start at +0.0, and a sum is -0.0 only when
+        # both terms are, so they never hold -0.0 and x + 0.0 is x: the
+        # return's zero increment would move no bit
+        dlam = (state_n.lambda_p if not state_n.lambda_p.any()
+                else np.zeros(plastic.shape))
+        nhat = np.broadcast_to(0.0, s_tr.shape)
+        eps_p = state_n.eps_p
+        alpha = state_n.alpha
         sig_plus = s_tr
-    alpha = state_n.alpha + dlam
 
     k = params.bulk_modulus
     hplus, psi_plus, _ = _split_energy(i1, dev_e, params)

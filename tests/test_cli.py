@@ -46,6 +46,16 @@ def test_non_finite_load_value_exits_2(outdir, tmp_path, capsys):
     assert not (outdir / "curves.csv").exists()
 
 
+def test_infinite_l_delta_exits_2(outdir, tmp_path, capsys):
+    # it used to reach the sensitivity and end in a ValueError traceback
+    path = tmp_path / "bad.ini"
+    path.write_text(Path(CANTILEVER).read_text().replace(
+        "target_volume = 1.0", "target_volume = 0.9\nl_delta = inf"))
+    assert cli.main(["run", str(path)]) == 2
+    assert "config error: [topology] l_delta = inf" in capsys.readouterr().err
+    assert not (outdir / "history.csv").exists()
+
+
 def test_empty_load_region_exits_2(outdir, tmp_path, capsys):
     # a load box off the mesh used to run with zero reactions and exit 0
     text = Path(CANTILEVER).read_text().replace("load_box = 2 2 0.4 0.6",

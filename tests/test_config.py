@@ -48,6 +48,23 @@ def write(tmp_path, fracture="psi_c = 13.0", material_extra="", extra=""):
     return path
 
 
+def with_line(tmp_path, section, line):
+    """``BASE`` with ``line`` set in ``section``, written to a file."""
+    key = line.split("=")[0].strip()
+    text = BASE.format(fracture="psi_c = 13.0", material_extra="")
+    if key in ("sigma_c", "g_c"):   # one threshold source only
+        text = text.replace("psi_c = 13.0\n", "")
+    if re.search(rf"^{key} = ", text, flags=re.M):
+        text = re.sub(rf"^{key} = .*$", line, text, flags=re.M)
+    elif f"[{section}]" in text:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    else:
+        text += f"\n[{section}]\n{line}\n"
+    path = tmp_path / "config.ini"
+    path.write_text(text)
+    return path
+
+
 class TestLoadConfig:
     def test_ductile_benchmark_constants_accepted(self, tmp_path):
         cfg = load_config(write(tmp_path))
@@ -152,6 +169,15 @@ class TestLoadConfig:
         ("material", "bulk_modulus = -1"),
         ("material", "bulk_modulus = soft"),
         ("material", "kappa = 1.5"),
+        ("material", "bulk_modulus = inf"),
+        ("material", "shear_modulus = inf"),
+        ("material", "hardening_modulus = inf"),
+        ("fracture", "length_scale = inf"),
+        ("fracture", "zeta = inf"),
+        ("fracture", "viscosity = inf"),
+        ("topology", "eta_phi = inf"),
+        ("topology", "l_phi = inf"),
+        ("topology", "l_delta = inf"),
         ("fracture", "viscosity = -1"),
         ("fracture", "length_scale = 0"),
         ("fracture", "psi_c = 0"),
@@ -187,21 +213,26 @@ class TestLoadConfig:
         # every malformed or out-of-range value is a ConfigError that
         # names the key, never a bare ValueError from the dataclasses;
         # l_delta and boxes that match no node are checked when the
-        # Problem is built
-        key = line.split("=")[0].strip()
-        text = BASE.format(fracture="psi_c = 13.0", material_extra="")
-        if key == "sigma_c":   # one threshold source only
-            text = text.replace("psi_c = 13.0\n", "")
-        if re.search(rf"^{key} = ", text, flags=re.M):
-            text = re.sub(rf"^{key} = .*$", line, text, flags=re.M)
-        elif f"[{section}]" in text:
-            text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
-        else:
-            text += f"\n[{section}]\n{line}\n"
-        path = tmp_path / "bad.ini"
-        path.write_text(text)
+        # Problem is built.  An infinite modulus, length or weight used to
+        # reach the solvers and fail there.
         with pytest.raises(ConfigError, match=re.escape(f"[{section}] {line}")):
-            build_problem(load_config(path))
+            build_problem(load_config(with_line(tmp_path, section, line)))
+
+    @pytest.mark.parametrize("section, line", [
+        ("material", "yield_stress = inf"),
+        ("fracture", "psi_c = inf"),
+        ("fracture", "sigma_c = inf"),
+        ("fracture", "g_c = inf"),
+        ("topology", "tau_phi = inf"),
+        ("topology", "r_min = inf"),
+        ("topology", "velocity_cap = inf"),
+        ("loading", "tau_f = inf"),
+        ("loading", "support1_box = 0 0 0 inf"),
+    ])
+    def test_infinite_thresholds_still_load(self, tmp_path, section, line):
+        # inf here means "never" (no yield, no crack, no cap, a steady
+        # level-set step), which the solvers run as such
+        build_problem(load_config(with_line(tmp_path, section, line)))
 
     def test_omitted_keys_take_the_dataclass_defaults(self, tmp_path):
         path = tmp_path / "minimal.ini"

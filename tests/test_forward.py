@@ -1,9 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import solveh_banded
+from scipy.linalg import cholesky_banded, solveh_banded
 from scipy.sparse.linalg import spsolve
 
 from fractop import config
@@ -439,6 +440,68 @@ class TestLoadHistory:
         assert calls["constitutive_sweep"] == passes + newton + openings
         assert calls["_kdd_blocks"] == passes + steps
 
+    @pytest.fixture(scope="class")
+    def histories(self):
+        return {case: fwd.run_load_history(*self._history_case(case))
+                for case in ("bend", "strip")}
+
+    def test_brittle_levels_share_the_plastic_state_and_phi(self, histories):
+        # the bend never yields, so its levels hold level 0's arrays
+        traj = histories["bend"]
+        first, first_q = traj.fields[0], traj.qstates[0]
+        for fields, qstate in zip(traj.fields, traj.qstates):
+            assert fields.phi is first.phi
+            for name in ("eps_p", "alpha", "lambda_p"):
+                assert getattr(qstate, name) is getattr(first_q, name)
+
+    def test_only_a_plastic_step_holds_fresh_plastic_arrays(self,
+                                                             histories):
+        traj = histories["strip"]
+        kinds = set()
+        for prev, qstate in zip(traj.qstates, traj.qstates[1:]):
+            plastic = bool(np.any(qstate.lambda_p))
+            kinds.add(plastic)
+            for name in ("eps_p", "alpha"):
+                shared = getattr(qstate, name) is getattr(prev, name)
+                assert shared is not plastic
+        assert kinds == {False, True}
+        assert all(f.phi is traj.fields[0].phi for f in traj.fields)
+
+    @pytest.mark.parametrize("case", ["bend", "strip"])
+    def test_committed_arrays_are_read_only(self, histories, case):
+        # a write would edit every level that shares the array
+        traj = histories[case]
+        for fields, qstate in zip(traj.fields, traj.qstates):
+            for array in (fields.u, fields.d, fields.phi, fields.p_u,
+                          qstate.eps_p, qstate.alpha, qstate.history,
+                          qstate.lambda_p):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
+
+    def test_bend_history_allocation_peak(self):
+        # one bend 20x8 history on a Problem whose patterns and operators
+        # exist peaks at about 0.82 MB of allocations: 2.4 MB with a copy
+        # of every array per level, and about 0.97-0.99 MB when Newton or
+        # the staggered pass keeps its spent sweep while it takes the next
+        prob, steps, du, settings = self._history_case("bend")
+        fwd.run_load_history(prob, steps, du, settings)
+        tracemalloc.start()
+        try:
+            fwd.run_load_history(prob, steps, du, settings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 950_000
+
+    def test_bend_tape_bytes(self, histories):
+        # the distinct arrays the bend 20x8 tape keeps: about 0.36 MB, and
+        # 1.38 MB when every level held a copy of each array
+        traj = histories["bend"]
+        arrays = {id(a): a for f, q in zip(traj.fields, traj.qstates)
+                  for a in (f.u, f.d, f.phi, f.p_u, q.eps_p, q.alpha,
+                            q.history, q.lambda_p)}
+        assert sum(a.nbytes for a in arrays.values()) <= 450_000
+
     def test_invalid_step_count(self):
         with pytest.raises(ValueError):
             fwd.run_load_history(small_problem(), 0, 1e-3)
@@ -550,7 +613,8 @@ class TestBandedSolve:
 
     def test_equals_solveh_banded_bit_for_bit(self, ductile_state):
         # the band path calls the LAPACK routine solveh_banded runs, and
-        # leaves the band as it is
+        # leaves the band's Cholesky factor in it: the reference solves and
+        # factors copies taken before
         prob, fields, qstate_prev, qstate = ductile_state
         result, _, layout = fwd.constitutive_sweep(
             prob, fields.u, fields.d, prob.layout(fields.phi), qstate_prev)
@@ -560,12 +624,12 @@ class TestBandedSolve:
                 (prob.dd_band,
                  fwd._kdd_blocks(prob, qstate.history, layout))):
             band = pattern.assemble(blocks)
-            before = band.copy()
             rhs = rng.normal(size=band.shape[1])
-            assert np.array_equal(
-                fwd.linear_solve(band, rhs),
-                solveh_banded(band, rhs, lower=True, check_finite=False))
-            assert np.array_equal(band, before)
+            ref = solveh_banded(band.copy(), rhs, lower=True,
+                                check_finite=False)
+            factor = cholesky_banded(band.copy(), lower=True)
+            assert np.array_equal(fwd.linear_solve(band, rhs), ref)
+            assert np.array_equal(band, factor)
 
     @pytest.fixture(scope="class")
     def block_state(self):
@@ -574,10 +638,11 @@ class TestBandedSolve:
         cfg, prob = config_problem("block3d_elastic.ini")
         traj = fwd.run_load_history(prob, cfg.steps,
                                     cfg.displacement_per_step, cfg.solver)
-        qstate = traj.qstates[-1].copy()
-        qstate.history = np.random.default_rng(3).uniform(
-            0.0, 5.0, qstate.history.shape)
-        return prob, traj.fields[-1], traj.qstates[-2], qstate
+        last = traj.qstates[-1]
+        history = np.random.default_rng(3).uniform(0.0, 5.0,
+                                                    last.history.shape)
+        return (prob, traj.fields[-1], traj.qstates[-2],
+                replace(last, history=history))
 
     def test_band_repeats_the_csr_matrix_bit_for_bit(self, ductile_state,
                                                      block_state):
